@@ -43,10 +43,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_vector(text):
+    parts = text.split(",")
+    if any(part.strip() == "" for part in parts):
+        raise NormGeoError(f"bad vector {text!r}: empty coordinate")
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in parts]
     except ValueError as exc:
         raise NormGeoError(f"bad vector {text!r}: {exc}") from exc
+
+
+def _int_at_least(lowest):
+    """argparse type: an integer >= lowest."""
+
+    def parse(text):
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid <name> value" message
+    parse.__name__ = "integer"
+    return parse
 
 
 def _write_atomic(path, data):
@@ -176,12 +193,18 @@ def _build_parser():
     def common(p, seed=True, dim=False, workers=False):
         p.add_argument("--norm", required=True, help="path to a norm spec JSON file")
         if seed:
-            p.add_argument("--seed", type=int, required=True, help="RNG seed")
+            p.add_argument(
+                "--seed", type=_int_at_least(0), required=True, help="RNG seed (>= 0)"
+            )
         if dim:
             p.add_argument("--dim", type=int, help="expected dimension (validated)")
         if workers:
             p.add_argument(
-                "--workers", type=int, default=1, help="worker threads (no output effect)"
+                "--workers",
+                type=_int_at_least(1),
+                default=1,
+                help="threads for the sampled inequality blocks; searches run "
+                "on one thread (no output effect)",
             )
         p.add_argument("--out", help="also write the report here (atomic)")
 

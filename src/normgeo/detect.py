@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .inequalities import (
     CONDITIONAL_IDS,
     InequalityId,
     Witness,
-    _lhs_rhs,
+    _batch_lhs_rhs,
     _norm_rows,
 )
 from .norms import DEFAULT_RADIUS_RANGE, DEFAULT_TOL, norm_eval, sample_points, stream
@@ -94,127 +93,170 @@ class SearchResult:
         }
 
 
-def _pattern_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
-    """Greedy compass search, maximizing fn. Deterministic.
+def _compass_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
+    """Greedy compass search from every row of p0 at once, maximizing fn.
 
-    Candidates are clamped to [lo, hi] and projected into the feasible set
-    before evaluation, so the returned value is fn at the returned point.
-    Stops when the step drops below 1e-9 or the evaluation budget runs out.
+    fn(rows, q) scores an (m, n) stack q of points that belong to the
+    restarts `rows`. Each row follows the trajectory a lone search from it
+    would: poll the coordinates in order, +step before -step, take the
+    first strict improvement and go on to the next coordinate, and shrink
+    the step after a sweep without one. Candidates are clamped to
+    [lo, hi] and projected into the feasible set before evaluation; one
+    that leaves its own coordinate unchanged is skipped without costing an
+    evaluation. A row stops when its step drops below 1e-9 or its budget
+    runs out. Each tick stacks the next poll point of every live row into
+    one fn call. Returns the best values, points and evaluations per row.
     """
     p = project(np.clip(p0, lo, hi))
-    best = fn(p)
-    evals = 1
-    step = step_init
-    n = p.size
-    while step >= _STEP_FLOOR and evals < max_evals:
-        improved = False
-        for i in range(n):
-            for s in (step, -step):
-                if evals >= max_evals:
-                    break
-                q = p.copy()
-                q[i] += s
-                q = project(np.clip(q, lo, hi))
-                if q[i] == p[i]:
-                    continue
-                v = fn(q)
-                evals += 1
-                if v > best:
-                    p = q
-                    best = v
-                    improved = True
-                    break
-            if evals >= max_evals:
-                break
-        if not improved:
-            step *= shrink
+    count, n = p.shape
+    best = fn(np.arange(count), p)
+    evals = np.ones(count, dtype=np.int64)
+    step = np.full(count, float(step_init))
+    pos = np.zeros(count, dtype=np.int64)  # 2 * coordinate + (0: +step, 1: -step)
+    improved = np.zeros(count, dtype=bool)
+
+    def poll(rows):
+        """The next candidates of `rows`, and which of them are skipped."""
+        coord = pos[rows] // 2
+        at = np.arange(rows.size)
+        q = p[rows]
+        q[at, coord] += np.where(pos[rows] % 2 == 0, step[rows], -step[rows])
+        q = project(np.clip(q, lo, hi))
+        return q, q[at, coord] == p[rows, coord]
+
+    def end_sweeps(rows):
+        """Close the sweep of the rows whose cursor ran off its end; return
+        which of `rows` are still searching."""
+        wrap = rows[pos[rows] == 2 * n]
+        if wrap.size:
+            step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * shrink)
+            improved[wrap] = False
+            pos[wrap] = 0
+        return step[rows] >= _STEP_FLOOR
+
+    live = np.flatnonzero((step >= _STEP_FLOOR) & (evals < max_evals))
+    while live.size:
+        cand, skip = poll(live)
+        while skip.any():
+            # A skipped poll costs nothing: move on and poll again.
+            pos[live[skip]] += 1
+            redo = np.flatnonzero(skip)[end_sweeps(live[skip])]
+            keep = ~skip
+            keep[redo] = True
+            cand[redo], skip[redo] = poll(live[redo])
+            live, cand, skip = live[keep], cand[keep], skip[keep]
+        if not live.size:
+            break
+        vals = fn(live, cand)
+        evals[live] += 1
+        better = vals > best[live]
+        moved = live[better]
+        p[moved] = cand[better]
+        best[moved] = vals[better]
+        improved[moved] = True
+        pos[live] = np.where(better, pos[live] // 2 * 2 + 2, pos[live] + 1)
+        live = live[evals[live] < max_evals]
+        live = live[end_sweeps(live)]
     return best, p, evals
 
 
-def _objective_fn(spec, objective, d, sign):
-    """Map a flat parameter vector to -slack (higher = worse violation)."""
+def _search_objective(spec, objective, d, signs):
+    """fn(rows, q) -> -slack of each parameter row (higher = worse
+    violation); rows index `signs`, the per-restart LORCH gamma signs."""
     if objective is InequalityId.N_ORDERING:
 
-        def fn(q):
-            lhs, rhs = _lhs_rhs(
-                objective, spec, q[:d], q[d : 2 * d], t=float(q[-1])
+        def fn(rows, q):
+            lhs, rhs = _batch_lhs_rhs(
+                objective, spec, q[:, :d], q[:, d : 2 * d], ts=q[:, -1]
             )
             return lhs - rhs
 
         return fn
     if objective is InequalityId.ALPHA_BETA:
 
-        def fn(q):
+        def fn(rows, q):
+            xs, ys = q[:, :d], q[:, d : 2 * d]
             try:
-                lhs, rhs = _lhs_rhs(objective, spec, q[:d], q[d : 2 * d])
+                lhs, rhs = _batch_lhs_rhs(objective, spec, xs, ys)
             except ZeroVectorError:
-                return -math.inf
+                ok = (_norm_rows(spec, xs) > 0.0) & (_norm_rows(spec, ys) > 0.0)
+                out = np.full(len(q), -math.inf)
+                out[ok] = fn(rows[ok], q[ok])
+                return out
             return lhs - rhs
 
         return fn
 
-    def fn(q):
-        x = q[:d]
-        yf = q[d : 2 * d]
-        nx = norm_eval(spec, x)
-        nyf = norm_eval(spec, yf)
-        if not (nx > 1e-12 and nyf > 1e-12):
-            return -math.inf
-        y = yf * (nx / nyf)
-        lhs, rhs = _lhs_rhs(objective, spec, x, y, gamma=sign * math.exp(q[-1]))
-        return lhs - rhs
+    def fn(rows, q):
+        xs, yfs = q[:, :d], q[:, d : 2 * d]
+        nx = _norm_rows(spec, xs)
+        nyf = _norm_rows(spec, yfs)
+        ok = (nx > 1e-12) & (nyf > 1e-12)
+        ys = yfs[ok] * (nx[ok] / nyf[ok])[:, None]
+        gammas = signs[rows[ok]] * np.array([math.exp(v) for v in q[ok, -1]])
+        lhs, rhs = _batch_lhs_rhs(objective, spec, xs[ok], ys, gammas=gammas)
+        out = np.full(len(q), -math.inf)
+        out[ok] = lhs - rhs
+        return out
 
     return fn
 
 
 def _make_project(d, r_lo):
+    """Push each x and y block of a parameter stack out to Euclidean length
+    r_lo; a zero block becomes (r_lo, 0, ...)."""
+
     def project(q):
-        for lo_i in (0, d):
-            block = q[lo_i : lo_i + d]
-            m = math.sqrt(float(block @ block))
-            if m < r_lo:
-                if m == 0.0:
-                    block[0] = r_lo
-                else:
-                    block *= r_lo / m
+        blocks = q[:, : 2 * d].reshape(len(q), 2, d)
+        m = np.sqrt((blocks * blocks).sum(axis=-1))
+        short = m < r_lo
+        if short.any():
+            zero = short & (m == 0.0)
+            grow = short & ~zero
+            blocks[grow] *= (r_lo / m[grow])[:, None]
+            blocks[zero, 0] = r_lo
         return q
 
     return project
 
 
-def _run_restart(spec, objective, config, obj_index, restart):
+def _search_restarts(spec, objective, config):
+    """Run every restart of one objective; restart r draws its start from
+    the (seed, objective, r) stream. Returns per-restart best values,
+    points, LORCH signs and evaluations."""
     d = config.dim
-    rng = stream(config.seed, _SEARCH_STREAM, obj_index, restart)
-    pts = sample_points(d, rng, 2, config.radius_range)
-    x, y = pts[0], pts[1]
-    sign = 1.0
+    obj_index = CONDITIONAL_IDS.index(objective)
+    starts = []
+    signs = np.ones(config.restarts)
     lo = np.full(2 * d, -math.inf)
     hi = np.full(2 * d, math.inf)
     if objective is InequalityId.N_ORDERING:
-        p0 = np.concatenate([x, y, [rng.uniform(0.0, 1.0)]])
         lo = np.append(lo, 0.0)
         hi = np.append(hi, 1.0)
-    elif objective is InequalityId.ALPHA_BETA:
-        p0 = np.concatenate([x, y])
-    else:
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        log_g = rng.uniform(*_GAMMA_LOG_BAND)
-        p0 = np.concatenate([x, y, [log_g]])
+    elif objective is InequalityId.LORCH:
         lo = np.append(lo, _GAMMA_LOG_BAND[0])
         hi = np.append(hi, _GAMMA_LOG_BAND[1])
-    fn = _objective_fn(spec, objective, d, sign)
-    project = _make_project(d, config.radius_range[0])
-    best, p, evals = _pattern_search(
-        fn,
-        p0,
+    for r in range(config.restarts):
+        rng = stream(config.seed, _SEARCH_STREAM, obj_index, r)
+        pts = sample_points(d, rng, 2, config.radius_range)
+        start = [pts[0], pts[1]]
+        if objective is InequalityId.N_ORDERING:
+            start.append([rng.uniform(0.0, 1.0)])
+        elif objective is InequalityId.LORCH:
+            signs[r] = -1.0 if rng.random() < 0.5 else 1.0
+            start.append([rng.uniform(*_GAMMA_LOG_BAND)])
+        starts.append(np.concatenate(start))
+    best, p, evals = _compass_search(
+        _search_objective(spec, objective, d, signs),
+        np.array(starts),
         config.step_init,
         config.step_shrink,
         config.iters_per_restart,
         lo,
         hi,
-        project,
+        _make_project(d, config.radius_range[0]),
     )
-    return best, p, sign, evals
+    return best, p, signs, evals
 
 
 def _decode_witness(spec, objective, d, p, sign):
@@ -231,40 +273,32 @@ def _decode_witness(spec, objective, d, p, sign):
 def violation_search(spec, objective, config, workers=1):
     """Multi-start pattern search for a negative-slack witness.
 
-    Restart r draws from the (seed, objective, r) stream, so results are
-    identical for any worker count and adding restarts can only improve
-    (ties keep the earliest restart).
+    All restarts advance together on one thread, and restart r draws from
+    the (seed, objective, r) stream, so adding restarts can only improve
+    the result (ties keep the earliest restart). `workers` is accepted for
+    interface stability and has no effect.
     """
+    del workers
     objective = InequalityId(objective)
     if objective not in CONDITIONAL_IDS:
         raise NormGeoError(f"{objective.value} is universal; nothing to search")
     if config.dim != spec.dim:
         raise NormGeoError(f"config dim {config.dim} != norm dim {spec.dim}")
-    obj_index = CONDITIONAL_IDS.index(objective)
-
-    def run(r):
-        return _run_restart(spec, objective, config, obj_index, r)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(config.restarts)))
-    else:
-        outcomes = [run(r) for r in range(config.restarts)]
-
-    total_evals = 0
-    best = None
-    for r, (val, p, sign, evals) in enumerate(outcomes):
-        total_evals += evals
-        if best is None or val > best[0]:
-            best = (val, p, sign, r)
-    val, p, sign, _ = best
-    witness = _decode_witness(spec, objective, config.dim, p, sign)
+    vals, points, signs, evals = _search_restarts(spec, objective, config)
+    r_best = 0
+    for r in range(1, config.restarts):
+        if vals[r] > vals[r_best]:
+            r_best = r
+    val = float(vals[r_best])
+    witness = _decode_witness(
+        spec, objective, config.dim, points[r_best], float(signs[r_best])
+    )
     return SearchResult(
         objective=objective,
         best_violation=max(0.0, val),
         witness=witness,
         witness_slack=-val,
-        evaluations=total_evals,
+        evaluations=int(evals.sum()),
         restarts_used=config.restarts,
         seed=config.seed,
     )
@@ -294,9 +328,9 @@ class RefinedMaxResult:
         }
 
 
-def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, scalar_fn, radius_range):
+def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, radius_range):
     """Sample `budget` pairs, score them with batch_fn, refine the best few
-    with the same pattern search used everywhere else."""
+    with the same compass search the violation searches use."""
     if budget < 1:
         raise NormGeoError("budget must be >= 1")
     rng = stream(seed, tag, 0)
@@ -305,29 +339,26 @@ def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, scalar_fn, radius_rang
     scores = batch_fn(xs, ys)
     skipped = int(np.isneginf(scores).sum())
     order = np.argsort(-scores, kind="stable")
-    top = [i for i in order[:_REFINE_TOP] if math.isfinite(scores[i])]
-    best_val = -math.inf
-    best_pair = (xs[0], ys[0])
-    evals = 0
-    if top:
-        i0 = int(top[0])
-        best_val = float(scores[i0])
-        best_pair = (xs[i0], ys[i0])
-    lo = np.full(2 * dim, -math.inf)
-    hi = np.full(2 * dim, math.inf)
-    project = _make_project(dim, radius_range[0])
-
-    def fn(q):
-        return scalar_fn(q[:dim], q[dim:])
-
-    for i in top:
-        p0 = np.concatenate([xs[i], ys[i]])
-        val, p, used = _pattern_search(fn, p0, 0.25, 0.5, _SIDE_BUDGET, lo, hi, project)
-        evals += used
+    top = [int(i) for i in order[:_REFINE_TOP] if math.isfinite(scores[i])]
+    if not top:
+        return -math.inf, (xs[0], ys[0]), budget, skipped
+    best_val = float(scores[top[0]])
+    best_pair = (xs[top[0]], ys[top[0]])
+    vals, points, evals = _compass_search(
+        lambda rows, q: batch_fn(q[:, :dim], q[:, dim:]),
+        np.concatenate([xs[top], ys[top]], axis=1),
+        0.25,
+        0.5,
+        _SIDE_BUDGET,
+        np.full(2 * dim, -math.inf),
+        np.full(2 * dim, math.inf),
+        _make_project(dim, radius_range[0]),
+    )
+    for val, p in zip(vals, points):
         if val > best_val:
-            best_val = val
+            best_val = float(val)
             best_pair = (p[:dim].copy(), p[dim:].copy())
-    return best_val, best_pair, budget + evals, skipped
+    return best_val, best_pair, budget + int(evals.sum()), skipped
 
 
 def dw_constant_estimate(spec, budget, seed, dim=None, radius_range=DEFAULT_RADIUS_RANGE):
@@ -353,19 +384,8 @@ def dw_constant_estimate(spec, budget, seed, dim=None, radius_range=DEFAULT_RADI
         alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
         return np.where(ok, alpha * s / safe, -math.inf)
 
-    def scalar_fn(x, y):
-        nx = norm_eval(spec, x)
-        ny = norm_eval(spec, y)
-        if not (nx > 1e-12 and ny > 1e-12):
-            return -math.inf
-        d = norm_eval(spec, x - y)
-        s = nx + ny
-        if d < floor * s:
-            return -math.inf
-        return norm_eval(spec, x / nx - y / ny) * s / d
-
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, dim, budget, seed, _DW_STREAM, batch_fn, scalar_fn, radius_range
+        spec, dim, budget, seed, _DW_STREAM, batch_fn, radius_range
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
@@ -394,18 +414,8 @@ def parallelogram_defect_search(
         ok = den > 1e-24
         return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
 
-    def scalar_fn(x, y):
-        nx = norm_eval(spec, x)
-        ny = norm_eval(spec, y)
-        den = nx * nx + ny * ny
-        if not den > 1e-24:
-            return -math.inf
-        a = norm_eval(spec, x + y)
-        b = norm_eval(spec, x - y)
-        return abs(a * a + b * b - 2.0 * nx * nx - 2.0 * ny * ny) / den
-
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, dim, budget, seed, _PG_STREAM, batch_fn, scalar_fn, radius_range
+        spec, dim, budget, seed, _PG_STREAM, batch_fn, radius_range
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormGeoError, ZeroVectorError
+from .errors import DimensionMismatchError, NormGeoError, ZeroVectorError
 from .norms import (
     DEFAULT_RADIUS_RANGE,
     DEFAULT_TOL,
@@ -94,53 +94,16 @@ class InequalityReport:
         }
 
 
-def _lhs_rhs(iq, spec, x, y, t=None, gamma=None):
-    """Formula table. Callers own argument validation; the search hot path
-    and evaluate_inequality both land here so witnesses replay exactly."""
-    if iq is InequalityId.N_ORDERING:
-        nx = norm_eval(spec, x)
-        ny = norm_eval(spec, y)
-        if nx > ny:
-            x, y = y, x
-        return norm_eval(spec, x + t * y), norm_eval(spec, y + t * x)
-    if iq is InequalityId.LORCH:
-        inv = 1.0 / gamma
-        return norm_eval(spec, x + y), norm_eval(spec, gamma * x + inv * y)
-    nx = norm_eval(spec, x)
-    ny = norm_eval(spec, y)
-    if not nx > 0.0 or not ny > 0.0:
-        raise ZeroVectorError(f"{iq.value} needs nonzero x and y")
-    u = x / nx
-    v = y / ny
-    if iq is InequalityId.MALIGRANDA_UPPER:
-        return (
-            norm_eval(spec, x + y),
-            nx + ny - (2.0 - norm_eval(spec, u + v)) * min(nx, ny),
-        )
-    if iq is InequalityId.MALIGRANDA_LOWER:
-        return (
-            nx + ny - (2.0 - norm_eval(spec, u + v)) * max(nx, ny),
-            norm_eval(spec, x + y),
-        )
-    alpha = norm_eval(spec, u - v)
-    if iq is InequalityId.ANGULAR_LOWER:
-        return (norm_eval(spec, x - y) - abs(nx - ny)) / min(nx, ny), alpha
-    if iq is InequalityId.ANGULAR_UPPER:
-        return alpha, (norm_eval(spec, x - y) + abs(nx - ny)) / max(nx, ny)
-    if iq is InequalityId.MASSERA_SCHAFFER:
-        return alpha, 2.0 * norm_eval(spec, x - y) / max(nx, ny)
-    if iq is InequalityId.DUNKL_WILLIAMS_4:
-        return alpha, 4.0 * norm_eval(spec, x - y) / (nx + ny)
-    if iq is InequalityId.ALPHA_BETA:
-        return alpha, norm_eval(spec, x / ny - y / nx)
-    raise NormGeoError(f"unknown inequality id {iq!r}")
-
-
 def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     """Evaluate one inequality at a concrete witness and report the slack."""
     iq = InequalityId(iq)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for v in (x, y):
+        if v.shape != (spec.dim,):
+            raise DimensionMismatchError(
+                f"expected vectors of length {spec.dim}, got shape {v.shape}"
+            )
     if iq is InequalityId.N_ORDERING:
         if t is None:
             raise NormGeoError("N_ORDERING needs t")
@@ -164,7 +127,15 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
             )
     elif gamma is not None:
         raise NormGeoError(f"{iq.value} takes no gamma")
-    lhs, rhs = _lhs_rhs(iq, spec, x, y, t=t, gamma=gamma)
+    lhs, rhs = _batch_lhs_rhs(
+        iq,
+        spec,
+        x[None, :],
+        y[None, :],
+        ts=None if t is None else np.array([t]),
+        gammas=None if gamma is None else np.array([gamma]),
+    )
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     return InequalityReport(
         id=iq,
         lhs=lhs,
@@ -176,7 +147,14 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
 
 
 def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
-    """Vectorized twin of _lhs_rhs over row stacks."""
+    """Formula table over (rows, dim) stacks: returns the lhs and rhs rows.
+
+    The searches, the sampled sweeps and evaluate_inequality (a 1-row
+    stack) all land here, and the norm kernel gives a row the same bits
+    in any stack, so every reported value replays exactly. Callers own
+    argument validation; a zero x or y row raises ZeroVectorError for
+    the inequalities that normalize by ||x|| and ||y||.
+    """
     if iq is InequalityId.N_ORDERING:
         nx = _norm_rows(spec, xs)
         ny = _norm_rows(spec, ys)
@@ -193,6 +171,8 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
         )
     nx = _norm_rows(spec, xs)
     ny = _norm_rows(spec, ys)
+    if not ((nx > 0.0) & (ny > 0.0)).all():
+        raise ZeroVectorError(f"{iq.value} needs nonzero x and y")
     u = xs / nx[:, None]
     v = ys / ny[:, None]
     if iq is InequalityId.MALIGRANDA_UPPER:

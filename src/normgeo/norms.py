@@ -45,6 +45,15 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _float_array(value, what, error=NormSpecError):
+    """np.asarray(value, dtype=float), with ragged or non-numeric input
+    reported as `error` instead of numpy's ValueError/TypeError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a rectangular array of numbers ({exc})") from exc
+
+
 def _freeze(a):
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -79,7 +88,7 @@ class NormSpec:
         elif self.kind == WEIGHTED_LP:
             if self.gram is not None:
                 raise NormSpecError("weighted_lp norm takes no gram")
-            w = np.asarray(self.weights, dtype=float)
+            w = _float_array(self.weights, "weights")
             if w.ndim != 1 or w.size != self.dim:
                 raise NormSpecError("weights must be a flat list of length dim")
             if not np.all(np.isfinite(w)) or not np.all(w > 0.0):
@@ -88,7 +97,7 @@ class NormSpec:
         elif self.kind == QUADRATIC:
             if self.p is not None or self.weights is not None:
                 raise NormSpecError("quadratic norm takes only a gram matrix")
-            g = np.asarray(self.gram, dtype=float)
+            g = _float_array(self.gram, "gram")
             if g.shape != (self.dim, self.dim):
                 raise NormSpecError(
                     f"gram must be {self.dim}x{self.dim}, got shape {g.shape}"
@@ -106,12 +115,12 @@ def lp_norm(p, dim):
 
 
 def weighted_lp_norm(p, weights):
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, "weights")
     return NormSpec(kind=WEIGHTED_LP, dim=int(w.size), p=p, weights=w)
 
 
 def quadratic_norm(gram):
-    g = np.asarray(gram, dtype=float)
+    g = _float_array(gram, "gram")
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NormSpecError(f"gram must be square, got shape {g.shape}")
     return NormSpec(kind=QUADRATIC, dim=int(g.shape[0]), gram=g)
@@ -125,7 +134,7 @@ def gram_validate(gram, sym_rel_tol=None):
     with pivot -3). Symmetry is required up to a relative tolerance.
     """
     tol = DEFAULT_TOL.gram_symmetry_rel if sym_rel_tol is None else sym_rel_tol
-    a = np.asarray(gram, dtype=float)
+    a = _float_array(gram, "gram", GramValidationError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GramValidationError(f"gram must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -173,11 +182,28 @@ def norm_eval(spec, x):
 
 
 def _norm_rows(spec, v):
-    # Shared by the scalar and the vectorized callers so both take the
-    # same arithmetic path.
+    """Norms of an (..., dim) stack; a 1-D vector gives a 0-d array.
+
+    Every row gets the same bits whatever the height of the stack it sits
+    in, so a lone vector, a search tick and a sampled block agree exactly.
+    Two details keep it so: the stack is flattened to 2-D first, so a
+    vector goes through the same array loops as any other row (a 1-D
+    general-p norm would end in a 0-d power that takes a different pow);
+    and a lone gram row is evaluated as a 2-row stack, because BLAS
+    rounds a 1-row product (gemv) differently from a taller one (gemm).
+    """
+    shape = v.shape[:-1]
+    v = v.reshape(-1, v.shape[-1])
     if spec.kind == QUADRATIC:
-        z = v @ spec.chol
-        return np.sqrt((z * z).sum(axis=-1))
+        if v.shape[0] == 1:
+            z = (np.concatenate([v, v]) @ spec.chol)[:1]
+        else:
+            z = v @ spec.chol
+        return np.sqrt((z * z).sum(axis=-1)).reshape(shape)
+    return _lp_rows(spec, v).reshape(shape)
+
+
+def _lp_rows(spec, v):
     a = np.abs(v)
     w = spec.weights
     p = spec.p

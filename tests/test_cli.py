@@ -322,3 +322,55 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == ng.__version__
+
+
+def _single_error_line(err):
+    lines = err.strip().splitlines()
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert lines[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "weighted_lp", "p": 2, "weights": ["a"], "dim": 1},
+        {"kind": "quadratic", "gram": [[1.0, 0.0], [0.0]], "dim": 2},
+    ],
+    ids=["non-numeric-weights", "ragged-gram"],
+)
+def test_malformed_spec_values_are_input_errors(payload, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "verify", "--norm", str(path), "--seed", "1")
+    assert rc == 1
+    assert out == ""
+    _single_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1"],
+        ["detect", "--seed", "1", "--workers", "-3"],
+        ["detect", "--seed", "1", "--workers", "0"],
+        ["inequalities", "--seed", "1", "--workers", "0"],
+    ],
+    ids=["negative-seed", "negative-workers", "zero-workers", "zero-workers-ineq"],
+)
+def test_out_of_range_flags_are_usage_errors(argv, specs, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--norm", specs["l1"], *argv[1:]])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_error_line(captured.err)
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1"])
+def test_curve_rejects_empty_coordinate(text, specs, capsys):
+    rc, out, err = run(capsys, "curve", "--norm", specs["l1"], f"--x={text}", "--y", "1,2")
+    assert rc == 1
+    assert out == ""
+    assert "empty coordinate" in err
+    _single_error_line(err)

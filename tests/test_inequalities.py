@@ -209,6 +209,10 @@ def test_validation_errors():
         ng.evaluate_inequality(InequalityId.LORCH, L1, x, 2.0 * y, gamma=2.0)
     with pytest.raises(ng.ZeroVectorError):
         ng.evaluate_inequality(InequalityId.ALPHA_BETA, L1, np.zeros(2), y)
+    with pytest.raises(ng.DimensionMismatchError):
+        ng.evaluate_inequality(InequalityId.N_ORDERING, L1, x, [0.0, 1.0, 2.0], t=0.5)
+    with pytest.raises(ng.DimensionMismatchError):
+        ng.evaluate_inequality(InequalityId.LORCH, L1, [x], [y], gamma=2.0)
 
 
 def test_report_dict_shape():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normgeo as ng
 from normgeo.norms import sample_points, stream
@@ -209,3 +211,52 @@ def test_parse_norm_spec_dim_consistency():
         ng.parse_norm_spec('{"kind":"weighted_lp","p":2,"weights":[1.0,2.0],"dim":3}')
     with pytest.raises(ng.NormSpecError):
         ng.parse_norm_spec('{"kind":"quadratic","gram":[[1.0]],"dim":2}')
+
+
+def test_malformed_weights_and_gram_are_spec_errors():
+    with pytest.raises(ng.NormSpecError, match="weights"):
+        ng.parse_norm_spec('{"kind":"weighted_lp","p":2,"weights":["a"],"dim":1}')
+    with pytest.raises(ng.NormSpecError, match="weights"):
+        ng.parse_norm_spec('{"kind":"weighted_lp","p":2,"weights":{"a":1},"dim":1}')
+    with pytest.raises(ng.NormSpecError, match="gram"):
+        ng.parse_norm_spec('{"kind":"quadratic","gram":[[1.0,0.0],[0.0]],"dim":2}')
+    with pytest.raises(ng.GramValidationError):
+        ng.gram_validate([[1.0], [0.0, 1.0]])
+
+
+def _family_spec(family, dim, seed):
+    rng = np.random.default_rng(seed)
+    if family == "l1":
+        return ng.lp_norm(1, dim)
+    if family == "l2":
+        return ng.lp_norm(2, dim)
+    if family == "lp":
+        return ng.lp_norm(float(rng.uniform(1.05, 9.0)), dim)
+    if family == "linf":
+        return ng.lp_norm(math.inf, dim)
+    if family == "weighted":
+        p = [1.0, 2.0, 3.5, math.inf][seed % 4]
+        return ng.weighted_lp_norm(p, np.exp(rng.uniform(-1.0, 1.0, dim)))
+    return ng.quadratic_norm(random_spd(dim, seed))
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 64, 257])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["l1", "l2", "lp", "linf", "weighted", "gram"]),
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_row_matches_its_lone_evaluation_bit_for_bit(height, family, dim, seed):
+    spec = _family_spec(family, dim, seed)
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-6.0, 6.0, (height, 1)))
+    stack = rng.standard_normal((height, dim)) * scale
+    stack[rng.random((height, dim)) < 0.1] = 0.0
+    rows = ng.norm_eval(spec, stack)
+    lone = np.array([ng.norm_eval(spec, v) for v in stack])
+    assert rows.shape == (height,)
+    assert np.array_equal(rows, lone)
+    # a strided view of a wider stack, as the search hands it over
+    wide = np.concatenate([stack, stack[:, :1]], axis=1)
+    assert np.array_equal(ng.norm_eval(spec, wide[:, :dim]), lone)
