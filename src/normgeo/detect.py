@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NormGeoError, ZeroVectorError
 from .inequalities import (
+    _GAMMA_LOG_BAND,
     CONDITIONAL_IDS,
     InequalityId,
     Witness,
@@ -29,8 +30,10 @@ from .norms import DEFAULT_RADIUS_RANGE, DEFAULT_TOL, norm_eval, sample_points, 
 VIOLATED = "VIOLATED"
 CONSISTENT = "CONSISTENT"
 
+_STEP_INIT = 0.25
+_STEP_SHRINK = 0.5
 _STEP_FLOOR = 1e-9
-_GAMMA_LOG_BAND = (math.log(0.125), math.log(8.0))
+_VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
 _REFINE_TOP = 8
 _SEARCH_STREAM = 2
@@ -46,17 +49,10 @@ class SearchConfig:
     restarts: int = 64
     iters_per_restart: int = 2000
     radius_range: tuple = DEFAULT_RADIUS_RANGE
-    step_init: float = 0.25
-    step_shrink: float = 0.5
-    violation_threshold: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1 or self.iters_per_restart < 1:
             raise NormGeoError("restarts and iters_per_restart must be >= 1")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise NormGeoError("step_shrink must lie in (0, 1)")
-        if self.step_init <= 0.0:
-            raise NormGeoError("step_init must be positive")
 
     def to_dict(self):
         return {
@@ -65,9 +61,6 @@ class SearchConfig:
             "restarts": self.restarts,
             "iters_per_restart": self.iters_per_restart,
             "radius_range": [float(self.radius_range[0]), float(self.radius_range[1])],
-            "step_init": self.step_init,
-            "step_shrink": self.step_shrink,
-            "violation_threshold": self.violation_threshold,
         }
 
 
@@ -78,7 +71,6 @@ class SearchResult:
     witness: Witness
     witness_slack: float
     evaluations: int
-    restarts_used: int
     seed: int
 
     def to_dict(self):
@@ -88,30 +80,29 @@ class SearchResult:
             "witness": self.witness.to_dict(),
             "witness_slack": self.witness_slack,
             "evaluations": self.evaluations,
-            "restarts_used": self.restarts_used,
             "seed": self.seed,
         }
 
 
-def _compass_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
+def _compass_search(fn, p0, max_evals, lo, hi, project):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
-    fn(rows, q) scores an (m, n) stack q of points that belong to the
-    restarts `rows`. Each row follows the trajectory a lone search from it
-    would: poll the coordinates in order, +step before -step, take the
-    first strict improvement and go on to the next coordinate, and shrink
-    the step after a sweep without one. Candidates are clamped to
-    [lo, hi] and projected into the feasible set before evaluation; one
-    that leaves its own coordinate unchanged is skipped without costing an
-    evaluation. A row stops when its step drops below 1e-9 or its budget
-    runs out. Each tick stacks the next poll point of every live row into
-    one fn call. Returns the best values, points and evaluations per row.
+    fn(q) scores an (m, n) stack q of points. Each row follows the
+    trajectory a lone search from it would: poll the coordinates in order,
+    +step before -step, take the first strict improvement and go on to the
+    next coordinate, and halve the step (from 0.25) after a sweep without
+    one. Candidates are clamped to [lo, hi] and projected into the
+    feasible set before evaluation; one that leaves its own coordinate
+    unchanged is skipped without costing an evaluation. A row stops when
+    its step drops below 1e-9 or its budget runs out. Each tick stacks the
+    next poll point of every live row into one fn call. Returns the best
+    values, points and evaluations per row.
     """
     p = project(np.clip(p0, lo, hi))
     count, n = p.shape
-    best = fn(np.arange(count), p)
+    best = fn(p)
     evals = np.ones(count, dtype=np.int64)
-    step = np.full(count, float(step_init))
+    step = np.full(count, _STEP_INIT)
     pos = np.zeros(count, dtype=np.int64)  # 2 * coordinate + (0: +step, 1: -step)
     improved = np.zeros(count, dtype=bool)
 
@@ -129,7 +120,7 @@ def _compass_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
         which of `rows` are still searching."""
         wrap = rows[pos[rows] == 2 * n]
         if wrap.size:
-            step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * shrink)
+            step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * _STEP_SHRINK)
             improved[wrap] = False
             pos[wrap] = 0
         return step[rows] >= _STEP_FLOOR
@@ -147,7 +138,7 @@ def _compass_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
             live, cand, skip = live[keep], cand[keep], skip[keep]
         if not live.size:
             break
-        vals = fn(live, cand)
+        vals = fn(cand)
         evals[live] += 1
         better = vals > best[live]
         moved = live[better]
@@ -160,12 +151,15 @@ def _compass_search(fn, p0, step_init, shrink, max_evals, lo, hi, project):
     return best, p, evals
 
 
-def _search_objective(spec, objective, d, signs):
-    """fn(rows, q) -> -slack of each parameter row (higher = worse
-    violation); rows index `signs`, the per-restart LORCH gamma signs."""
+def _search_objective(spec, objective, d):
+    """fn(q) -> -slack of each parameter row (higher = worse violation).
+
+    LORCH scores the positive gamma exp(q[-1]): negating gamma negates
+    gamma*x + y/gamma, which leaves its norm and so the slack unchanged.
+    """
     if objective is InequalityId.N_ORDERING:
 
-        def fn(rows, q):
+        def fn(q):
             lhs, rhs = _batch_lhs_rhs(
                 objective, spec, q[:, :d], q[:, d : 2 * d], ts=q[:, -1]
             )
@@ -174,26 +168,26 @@ def _search_objective(spec, objective, d, signs):
         return fn
     if objective is InequalityId.ALPHA_BETA:
 
-        def fn(rows, q):
+        def fn(q):
             xs, ys = q[:, :d], q[:, d : 2 * d]
             try:
                 lhs, rhs = _batch_lhs_rhs(objective, spec, xs, ys)
             except ZeroVectorError:
                 ok = (_norm_rows(spec, xs) > 0.0) & (_norm_rows(spec, ys) > 0.0)
                 out = np.full(len(q), -math.inf)
-                out[ok] = fn(rows[ok], q[ok])
+                out[ok] = fn(q[ok])
                 return out
             return lhs - rhs
 
         return fn
 
-    def fn(rows, q):
+    def fn(q):
         xs, yfs = q[:, :d], q[:, d : 2 * d]
         nx = _norm_rows(spec, xs)
         nyf = _norm_rows(spec, yfs)
         ok = (nx > 1e-12) & (nyf > 1e-12)
         ys = yfs[ok] * (nx[ok] / nyf[ok])[:, None]
-        gammas = signs[rows[ok]] * np.array([math.exp(v) for v in q[ok, -1]])
+        gammas = np.array([math.exp(v) for v in q[ok, -1]])
         lhs, rhs = _batch_lhs_rhs(objective, spec, xs[ok], ys, gammas=gammas)
         out = np.full(len(q), -math.inf)
         out[ok] = lhs - rhs
@@ -223,7 +217,8 @@ def _make_project(d, r_lo):
 def _search_restarts(spec, objective, config):
     """Run every restart of one objective; restart r draws its start from
     the (seed, objective, r) stream. Returns per-restart best values,
-    points, LORCH signs and evaluations."""
+    points, LORCH gamma signs (applied only to the reported witness) and
+    evaluations."""
     d = config.dim
     obj_index = CONDITIONAL_IDS.index(objective)
     starts = []
@@ -247,10 +242,8 @@ def _search_restarts(spec, objective, config):
             start.append([rng.uniform(*_GAMMA_LOG_BAND)])
         starts.append(np.concatenate(start))
     best, p, evals = _compass_search(
-        _search_objective(spec, objective, d, signs),
+        _search_objective(spec, objective, d),
         np.array(starts),
-        config.step_init,
-        config.step_shrink,
         config.iters_per_restart,
         lo,
         hi,
@@ -270,15 +263,13 @@ def _decode_witness(spec, objective, d, p, sign):
     return Witness(x=x, y=y, gamma=sign * math.exp(float(p[-1])))
 
 
-def violation_search(spec, objective, config, workers=1):
+def violation_search(spec, objective, config):
     """Multi-start pattern search for a negative-slack witness.
 
     All restarts advance together on one thread, and restart r draws from
     the (seed, objective, r) stream, so adding restarts can only improve
-    the result (ties keep the earliest restart). `workers` is accepted for
-    interface stability and has no effect.
+    the result (ties keep the earliest restart).
     """
-    del workers
     objective = InequalityId(objective)
     if objective not in CONDITIONAL_IDS:
         raise NormGeoError(f"{objective.value} is universal; nothing to search")
@@ -299,7 +290,6 @@ def violation_search(spec, objective, config, workers=1):
         witness=witness,
         witness_slack=-val,
         evaluations=int(evals.sum()),
-        restarts_used=config.restarts,
         seed=config.seed,
     )
 
@@ -328,9 +318,10 @@ class RefinedMaxResult:
         }
 
 
-def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, radius_range):
+def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
     """Sample `budget` pairs, score them with batch_fn, refine the best few
     with the same compass search the violation searches use."""
+    dim = spec.dim
     if budget < 1:
         raise NormGeoError("budget must be >= 1")
     rng = stream(seed, tag, 0)
@@ -345,10 +336,8 @@ def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, radius_range):
     best_val = float(scores[top[0]])
     best_pair = (xs[top[0]], ys[top[0]])
     vals, points, evals = _compass_search(
-        lambda rows, q: batch_fn(q[:, :dim], q[:, dim:]),
+        lambda q: batch_fn(q[:, :dim], q[:, dim:]),
         np.concatenate([xs[top], ys[top]], axis=1),
-        0.25,
-        0.5,
         _SIDE_BUDGET,
         np.full(2 * dim, -math.inf),
         np.full(2 * dim, math.inf),
@@ -361,17 +350,15 @@ def _refine_pairs(spec, dim, budget, seed, tag, batch_fn, radius_range):
     return best_val, best_pair, budget + int(evals.sum()), skipped
 
 
-def dw_constant_estimate(spec, budget, seed, dim=None, radius_range=DEFAULT_RADIUS_RANGE):
+def dw_constant_estimate(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
     """Lower-bound estimate of the best c in alpha <= c*||x-y||/(||x||+||y||).
 
     Maximizes c(x,y) = alpha * (||x||+||y||) / ||x-y|| over sampled and
-    refined pairs; pairs with ||x-y|| below 1e-8*(||x||+||y||) are skipped
-    (and counted), never divided through. The true constant can only be
-    larger. Equals 2 for inner-product norms, at most 4 for any norm.
+    refined pairs; pairs with ||x|| or ||y|| at most 1e-12, or with ||x-y||
+    below 1e-8*(||x||+||y||), are skipped (and counted), never divided
+    through. The true constant can only be larger. Equals 2 for
+    inner-product norms, at most 4 for any norm.
     """
-    dim = spec.dim if dim is None else dim
-    if dim != spec.dim:
-        raise NormGeoError(f"dim {dim} does not match norm dim {spec.dim}")
     floor = DEFAULT_TOL.dw_separation_rel
 
     def batch_fn(xs, ys):
@@ -379,30 +366,25 @@ def dw_constant_estimate(spec, budget, seed, dim=None, radius_range=DEFAULT_RADI
         ny = _norm_rows(spec, ys)
         d = _norm_rows(spec, xs - ys)
         s = nx + ny
-        ok = d >= floor * s
-        safe = np.where(ok, d, 1.0)
+        ok = (nx > 1e-12) & (ny > 1e-12) & (d >= floor * s)
+        nx, ny, d = (np.where(ok, v, 1.0) for v in (nx, ny, d))
         alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
-        return np.where(ok, alpha * s / safe, -math.inf)
+        return np.where(ok, alpha * s / d, -math.inf)
 
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, dim, budget, seed, _DW_STREAM, batch_fn, radius_range
+        spec, budget, seed, _DW_STREAM, batch_fn, radius_range
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
     )
 
 
-def parallelogram_defect_search(
-    spec, budget, seed, dim=None, radius_range=DEFAULT_RADIUS_RANGE
-):
+def parallelogram_defect_search(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
     """Largest relative parallelogram-law defect found by sampling + refining.
 
     defect = |n(x+y)^2 + n(x-y)^2 - 2n(x)^2 - 2n(y)^2| / (n(x)^2 + n(y)^2).
     Independent of the inequality catalog; used as a cross-check oracle.
     """
-    dim = spec.dim if dim is None else dim
-    if dim != spec.dim:
-        raise NormGeoError(f"dim {dim} does not match norm dim {spec.dim}")
 
     def batch_fn(xs, ys):
         nx = _norm_rows(spec, xs)
@@ -415,7 +397,7 @@ def parallelogram_defect_search(
         return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
 
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, dim, budget, seed, _PG_STREAM, batch_fn, radius_range
+        spec, budget, seed, _PG_STREAM, batch_fn, radius_range
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
@@ -449,25 +431,26 @@ class DetectionVerdict:
 def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     """Searches all three conditional inequalities and renders a verdict.
 
-    VIOLATED iff some objective beats config.violation_threshold; witnesses
+    VIOLATED iff some objective's violation exceeds 1e-7; witnesses
     are machine-checkable via evaluate_inequality. CONSISTENT claims only
     that the search found nothing. If the independent parallelogram probe
     finds a defect above 1e-6 while the verdict stays CONSISTENT, the
-    verdict is flagged as discrepant (search insufficiency).
+    verdict is flagged as discrepant (search insufficiency). `workers` is
+    accepted for interface stability and has no effect: the searches run
+    on one thread.
     """
+    del workers
     t0 = time.perf_counter()
     per = {}
     for objective in CONDITIONAL_IDS:
-        per[objective] = violation_search(spec, objective, config, workers=workers)
+        per[objective] = violation_search(spec, objective, config)
     pg = parallelogram_defect_search(
         spec, side_budget, config.seed, radius_range=config.radius_range
     )
     dw = dw_constant_estimate(
         spec, side_budget, config.seed, radius_range=config.radius_range
     )
-    violated = any(
-        r.best_violation > config.violation_threshold for r in per.values()
-    )
+    violated = any(r.best_violation > _VIOLATION_THRESHOLD for r in per.values())
     verdict = VIOLATED if violated else CONSISTENT
     flagged = (not violated) and pg.value > _PG_DISCREPANCY
     return DetectionVerdict(

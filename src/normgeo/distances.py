@@ -4,34 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ZeroVectorError
-from .norms import norm_eval
-
-
-def _norms_checked(spec, x, y):
-    nx = norm_eval(spec, x)
-    ny = norm_eval(spec, y)
-    if not nx > 0.0 or not ny > 0.0:
-        raise ZeroVectorError("angular distances need nonzero x and y")
-    return nx, ny
-
-
-def angular_distance(spec, x, y):
-    """|| x/||x|| - y/||y|| ||, the gap between the normalized directions."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx, ny = _norms_checked(spec, x, y)
-    return norm_eval(spec, x / nx - y / ny)
-
-
-def skew_angular_distance(spec, x, y):
-    """|| x/||y|| - y/||x|| ||, each vector scaled by the other's norm."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx, ny = _norms_checked(spec, x, y)
-    return norm_eval(spec, x / ny - y / nx)
+from .inequalities import InequalityId, _batch_lhs_rhs
+from .norms import _vector_pair, norm_eval
 
 
 @dataclass(frozen=True)
@@ -45,15 +19,26 @@ class DistancePair:
 def distance_pair(spec, x, y):
     """Both distances plus the two norms in one record.
 
-    Values are raw: alpha may overshoot 2 by rounding and is never clamped
-    here.
+    alpha and beta are the two sides of the ALPHA_BETA row of the
+    inequality table, so they carry the same bits as a search or a replay
+    of that inequality. Values are raw: alpha may overshoot 2 by rounding
+    and is never clamped here.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx, ny = _norms_checked(spec, x, y)
+    x, y = _vector_pair(spec, x, y)
+    alpha, beta = _batch_lhs_rhs(InequalityId.ALPHA_BETA, spec, x[None, :], y[None, :])
     return DistancePair(
-        alpha=norm_eval(spec, x / nx - y / ny),
-        beta=norm_eval(spec, x / ny - y / nx),
-        norm_x=nx,
-        norm_y=ny,
+        alpha=float(alpha[0]),
+        beta=float(beta[0]),
+        norm_x=norm_eval(spec, x),
+        norm_y=norm_eval(spec, y),
     )
+
+
+def angular_distance(spec, x, y):
+    """|| x/||x|| - y/||y|| ||, the gap between the normalized directions."""
+    return distance_pair(spec, x, y).alpha
+
+
+def skew_angular_distance(spec, x, y):
+    """|| x/||y|| - y/||x|| ||, each vector scaled by the other's norm."""
+    return distance_pair(spec, x, y).beta

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DerivativeConvergenceError, NormGeoError
-from .norms import DEFAULT_TOL, NormSpec, norm_eval, quadratic_norm
+from .norms import DEFAULT_TOL, NormSpec, _vector_pair, norm_eval, quadratic_norm
 
 LEFT = "left"
 RIGHT = "right"
@@ -25,8 +25,7 @@ def n_eval(spec, x, y, t):
     t = float(t)
     if not math.isfinite(t):
         raise NormGeoError(f"t must be finite, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     return norm_eval(spec, x + t * y)
 
 
@@ -73,7 +72,7 @@ class DerivativeEstimate:
     step_sequence_floor: float
 
 
-def one_sided_derivative(spec, x, y, t, side, tol=None):
+def one_sided_derivative(spec, x, y, t, side):
     """One-sided derivative of t -> ||x + t*y|| by halved difference quotients.
 
     Quotients at steps h_k = 1e-2*(1+|t|)*2^-k are Richardson-extrapolated
@@ -84,7 +83,6 @@ def one_sided_derivative(spec, x, y, t, side, tol=None):
     """
     if side not in (LEFT, RIGHT):
         raise NormGeoError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
-    tol = DEFAULT_TOL if tol is None else tol
     t = float(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,15 +95,14 @@ def one_sided_derivative(spec, x, y, t, side, tol=None):
         q = (n_eval(spec, x, y, t + sgn * h) - f0) / (sgn * h)
         if prev_q is not None:
             r = 2.0 * q - prev_q
-            if prev_r is not None and abs(r - prev_r) < tol.derivative_agree_rel * (
-                1.0 + abs(r)
-            ):
+            agree = DEFAULT_TOL.derivative_agree_rel * (1.0 + abs(r))
+            if prev_r is not None and abs(r - prev_r) < agree:
                 return DerivativeEstimate(
                     t=t, side=side, value=r, step_sequence_floor=h
                 )
             prev_r = r
         prev_q = q
-        if h <= tol.derivative_step_floor:
+        if h <= DEFAULT_TOL.derivative_step_floor:
             raise DerivativeConvergenceError(
                 f"difference quotients did not stabilize above step {h:.3e} "
                 f"at t={t} ({side})"
@@ -144,7 +141,7 @@ def reflection_identity_defect(spec, x, y, t):
     return abs(a - b)
 
 
-def reciprocal_order_agreement(spec, x, y, t, tie_rel=None):
+def reciprocal_order_agreement(spec, x, y, t):
     """Check ||y+tx|| <= ||x+ty||  iff  ||x+(1/t)y|| <= ||y+(1/t)x||.
 
     Near-ties (within 1e-12 relative of the largest value involved) are
@@ -154,14 +151,13 @@ def reciprocal_order_agreement(spec, x, y, t, tie_rel=None):
     t = float(t)
     if t == 0.0 or not math.isfinite(t):
         raise NormGeoError(f"t must be finite and nonzero, got {t}")
-    tie_rel = DEFAULT_TOL.order_tie_rel if tie_rel is None else tie_rel
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = n_eval(spec, y, x, t)
     b = n_eval(spec, x, y, t)
     c = n_eval(spec, x, y, 1.0 / t)
     d = n_eval(spec, y, x, 1.0 / t)
-    tol = tie_rel * (1.0 + max(a, b, c, d))
+    tol = DEFAULT_TOL.order_tie_rel * (1.0 + max(a, b, c, d))
 
     def rel(u, v):
         if u < v - tol:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormGeoError, ZeroVectorError
+from .errors import NormGeoError, ZeroVectorError
 from .norms import (
     DEFAULT_RADIUS_RANGE,
     DEFAULT_TOL,
     _norm_rows,
+    _vector_pair,
     norm_eval,
     sample_points,
     stream,
@@ -53,7 +54,7 @@ CONDITIONAL_IDS = (
     InequalityId.LORCH,
 )
 
-_GAMMA_BAND = (0.125, 8.0)
+_GAMMA_LOG_BAND = (math.log(0.125), math.log(8.0))  # |gamma| in [1/8, 8]
 _BATCH_STREAM = 1
 _BATCH_BLOCK = 1 << 13
 
@@ -97,13 +98,7 @@ class InequalityReport:
 def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     """Evaluate one inequality at a concrete witness and report the slack."""
     iq = InequalityId(iq)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v in (x, y):
-        if v.shape != (spec.dim,):
-            raise DimensionMismatchError(
-                f"expected vectors of length {spec.dim}, got shape {v.shape}"
-            )
+    x, y = _vector_pair(spec, x, y)
     if iq is InequalityId.N_ORDERING:
         if t is None:
             raise NormGeoError("N_ORDERING needs t")
@@ -201,16 +196,6 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
     raise NormGeoError(f"unknown inequality id {iq!r}")
 
 
-def default_t_strategy(rng, count):
-    return rng.uniform(0.0, 1.0, count)
-
-
-def default_gamma_strategy(rng, count):
-    lo, hi = _GAMMA_BAND
-    g = np.exp(rng.uniform(math.log(lo), math.log(hi), count))
-    return g * np.where(rng.random(count) < 0.5, -1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class BatchResult:
     report: InequalityReport
@@ -228,15 +213,16 @@ class BatchResult:
         return out
 
 
-def _batch_block(iq, spec, seed, block_index, start, count, t_strategy, gamma_strategy):
+def _batch_block(iq, spec, seed, block_index, start, count):
     rng = stream(seed, _BATCH_STREAM, block_index)
     xs = sample_points(spec.dim, rng, count, DEFAULT_RADIUS_RANGE)
     ys = sample_points(spec.dim, rng, count, DEFAULT_RADIUS_RANGE)
     ts = gammas = None
     if iq is InequalityId.N_ORDERING:
-        ts = t_strategy(rng, count)
+        ts = rng.uniform(0.0, 1.0, count)
     elif iq is InequalityId.LORCH:
-        gammas = gamma_strategy(rng, count)
+        gammas = np.exp(rng.uniform(*_GAMMA_LOG_BAND, count))
+        gammas *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
         nx = _norm_rows(spec, xs)
         ny = _norm_rows(spec, ys)
         ys = ys * (nx / ny)[:, None]
@@ -255,31 +241,18 @@ def _batch_block(iq, spec, seed, block_index, start, count, t_strategy, gamma_st
     )
 
 
-def batch_min_slack(
-    iq,
-    spec,
-    trials,
-    seed,
-    dim=None,
-    t_strategy=None,
-    gamma_strategy=None,
-    workers=1,
-):
+def batch_min_slack(iq, spec, trials, seed, workers=1):
     """Sample trials random pairs and return the report with minimal slack.
 
     Trials are split into fixed-size blocks, each with its own seed-derived
     stream, so the result is byte-identical for any worker count. Ties go to
     the earliest trial. LORCH pairs are made equal-norm by rescaling the
     second sample; t is uniform on [0,1] and gamma log-uniform on
-    +-[1/8, 8] unless custom strategies are given.
+    +-[1/8, 8].
     """
     iq = InequalityId(iq)
     if trials < 1:
         raise NormGeoError("trials must be >= 1")
-    if dim is not None and dim != spec.dim:
-        raise NormGeoError(f"dim {dim} does not match norm dim {spec.dim}")
-    t_strategy = t_strategy or default_t_strategy
-    gamma_strategy = gamma_strategy or default_gamma_strategy
     blocks = []
     start = 0
     b = 0
@@ -291,9 +264,7 @@ def batch_min_slack(
 
     def run(block):
         b, start, count = block
-        return _batch_block(
-            iq, spec, seed, b, start, count, t_strategy, gamma_strategy
-        )
+        return _batch_block(iq, spec, seed, b, start, count)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

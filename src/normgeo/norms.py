@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     GramValidationError,
+    NormGeoError,
     NormSpecError,
 )
 
@@ -46,11 +47,11 @@ DEFAULT_TOL = Tolerances()
 
 
 def _float_array(value, what, error=NormSpecError):
-    """np.asarray(value, dtype=float), with ragged or non-numeric input
-    reported as `error` instead of numpy's ValueError/TypeError."""
+    """np.asarray(value, dtype=float), with ragged, non-numeric or
+    out-of-range input reported as `error` instead of a raw numpy error."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from exc
 
 
@@ -126,14 +127,14 @@ def quadratic_norm(gram):
     return NormSpec(kind=QUADRATIC, dim=int(g.shape[0]), gram=g)
 
 
-def gram_validate(gram, sym_rel_tol=None):
+def gram_validate(gram):
     """Certify that a matrix is SPD; return the lower-triangular factor.
 
     Elimination proceeds pivot by pivot so a failure can report exactly
     which pivot went nonpositive (e.g. [[1,2],[2,1]] fails at index 1
-    with pivot -3). Symmetry is required up to a relative tolerance.
+    with pivot -3). Symmetry is required up to a relative 1e-12.
     """
-    tol = DEFAULT_TOL.gram_symmetry_rel if sym_rel_tol is None else sym_rel_tol
+    tol = DEFAULT_TOL.gram_symmetry_rel
     a = _float_array(gram, "gram", GramValidationError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GramValidationError(f"gram must be square, got shape {a.shape}")
@@ -234,6 +235,22 @@ def as_vector(x, dim=None):
     if not np.all(np.isfinite(v)):
         raise NormSpecError("vector has nonfinite entries")
     return v
+
+
+def _vector_pair(spec, x, y):
+    """x and y as float vectors of length spec.dim with finite entries; the
+    check every library entry point that takes a pair x, y makes."""
+    pair = []
+    for v in (x, y):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (spec.dim,):
+            raise DimensionMismatchError(
+                f"expected vectors of length {spec.dim}, got shape {v.shape}"
+            )
+        if not np.isfinite(v).all():
+            raise NormGeoError("x and y must have finite entries (no NaN or inf)")
+        pair.append(v)
+    return pair
 
 
 def stream(seed, *key):
@@ -344,7 +361,10 @@ def _parse_p(raw):
         raise NormSpecError(f'p must be a number or "inf", got {raw!r}')
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise NormSpecError(f'p must be a number or "inf", got {raw!r}')
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise NormSpecError(f"p is too large for a float ({exc})") from exc
 
 
 def parse_norm_spec(obj):
@@ -352,12 +372,12 @@ def parse_norm_spec(obj):
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise NormSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise NormSpecError("norm spec must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _KEYS:
+    if not isinstance(kind, str) or kind not in _KEYS:
         raise NormSpecError(f"unknown norm kind {kind!r}")
     extra = set(obj) - _KEYS[kind]
     missing = _KEYS[kind] - set(obj)

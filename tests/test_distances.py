@@ -87,3 +87,9 @@ def test_zero_vector_raises():
             fn(L2, z, x)
         with pytest.raises(ng.ZeroVectorError):
             fn(L2, x, z)
+
+
+def test_nonfinite_vectors_raise():
+    x = np.array([1.0, 2.0])
+    with pytest.raises(ng.NormGeoError, match="finite"):
+        ng.distance_pair(L2, x, [math.inf, 1.0])

@@ -32,6 +32,11 @@ def test_n_eval_rejects_nonfinite_t():
         ng.n_eval(L1, X, Y, math.inf)
 
 
+def test_n_eval_rejects_nonfinite_vectors():
+    with pytest.raises(ng.NormGeoError, match="finite"):
+        ng.n_eval(L1, [math.nan, 0.0], Y, 0.5)
+
+
 def test_n_curve_grid_contract():
     rows = ng.n_curve(L1, X, Y, 0.0, 1.0, 101)
     assert len(rows) == 101

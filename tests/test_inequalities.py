@@ -213,6 +213,8 @@ def test_validation_errors():
         ng.evaluate_inequality(InequalityId.N_ORDERING, L1, x, [0.0, 1.0, 2.0], t=0.5)
     with pytest.raises(ng.DimensionMismatchError):
         ng.evaluate_inequality(InequalityId.LORCH, L1, [x], [y], gamma=2.0)
+    with pytest.raises(ng.NormGeoError, match="finite"):
+        ng.evaluate_inequality(InequalityId.N_ORDERING, L1, x, [math.nan, 1.0], t=0.5)
 
 
 def test_report_dict_shape():
@@ -272,8 +274,6 @@ def test_batch_determinism_and_worker_independence():
 def test_batch_input_validation():
     with pytest.raises(ng.NormGeoError, match="trials"):
         ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, trials=0, seed=1)
-    with pytest.raises(ng.NormGeoError, match="dim"):
-        ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, trials=10, seed=1, dim=3)
 
 
 def test_batch_accepts_string_id():

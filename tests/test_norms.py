@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normgeo as ng
@@ -222,6 +222,49 @@ def test_malformed_weights_and_gram_are_spec_errors():
         ng.parse_norm_spec('{"kind":"quadratic","gram":[[1.0,0.0],[0.0]],"dim":2}')
     with pytest.raises(ng.GramValidationError):
         ng.gram_validate([[1.0], [0.0, 1.0]])
+
+
+# what json.loads can return, including integers too large for a float
+_NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), "inf"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_DIM = st.integers(-1, 3) | _JSON_VALUES
+_P = _NUMBERS | _JSON_VALUES
+_SPEC_LIKE = (
+    st.fixed_dictionaries({"kind": st.just("lp"), "p": _P, "dim": _DIM})
+    | st.fixed_dictionaries(
+        {
+            "kind": st.just("weighted_lp"),
+            "p": _P,
+            "weights": st.lists(_NUMBERS, max_size=3) | _JSON_VALUES,
+            "dim": _DIM,
+        }
+    )
+    | st.fixed_dictionaries(
+        {
+            "kind": st.just("quadratic"),
+            "gram": st.lists(st.lists(_NUMBERS, max_size=3), max_size=3) | _JSON_VALUES,
+            "dim": _DIM,
+        }
+    )
+    | st.dictionaries(
+        st.sampled_from(["kind", "p", "dim", "weights", "gram"]), _JSON_VALUES
+    )
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(obj=_JSON_VALUES | _SPEC_LIKE | _SPEC_LIKE.map(json.dumps))
+@example(obj="1" + "0" * 5000)  # past the int-from-text digit limit
+def test_parse_norm_spec_raises_only_norm_spec_error(obj):
+    try:
+        ng.parse_norm_spec(obj)
+    except ng.NormSpecError:
+        pass
 
 
 def _family_spec(family, dim, seed):

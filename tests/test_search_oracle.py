@@ -132,8 +132,8 @@ def ref_restart(spec, objective, config, r, fired, skips=None):
     return ref_compass(
         ref_objective(spec, objective, d, sign),
         p0,
-        config.step_init,
-        config.step_shrink,
+        0.25,
+        0.5,
         config.iters_per_restart,
         lo,
         hi,
