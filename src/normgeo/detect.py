@@ -33,6 +33,7 @@ CONSISTENT = "CONSISTENT"
 _STEP_INIT = 0.25
 _STEP_SHRINK = 0.5
 _STEP_FLOOR = 1e-9
+_STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
 _REFINE_TOP = 8
@@ -88,66 +89,76 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
     fn(q) scores an (m, n) stack q of points. Each row follows the
-    trajectory a lone search from it would: poll the coordinates in order,
-    +step before -step, take the first strict improvement and go on to the
-    next coordinate, and halve the step (from 0.25) after a sweep without
-    one. Candidates are clamped to [lo, hi] and projected into the
-    feasible set before evaluation; one that leaves its own coordinate
-    unchanged is skipped without costing an evaluation. A row stops when
-    its step drops below 1e-9 or its budget runs out. Each tick stacks the
-    next poll point of every live row into one fn call. Returns the best
-    values, points and evaluations per row.
+    trajectory a lone search from it would: poll the 2n points +-step
+    along each coordinate in order, +step before -step; take the first
+    strict improvement and go on to the next coordinate; halve the step
+    (from 0.25) after a sweep without one. A poll is clamped to [lo, hi]
+    and projected into the feasible set (project must keep a point inside
+    [lo, hi]); one that leaves its own coordinate unchanged is skipped and
+    costs no evaluation. A row stops when its step drops below 1e-9 or its
+    budget runs out.
+
+    Each tick stacks, for every live row, the rest of its current sweep
+    into one fn call: every poll from the current point that is not
+    skipped, up to the row's remaining budget. The first improvement in
+    poll order is taken. The polls after it would have started from the
+    moved point, so their values are discarded and never counted as
+    evaluations. fn gives a row the same value in any stack, so every row
+    ends exactly where the one-poll-at-a-time search would, after about
+    one tick per move or sweep instead of one per evaluation. A tick
+    splits its rows over several fn calls only when their stencils would
+    pass _STENCIL_CELLS doubles together. Returns the best values, points
+    and evaluations per row.
     """
     p = project(np.clip(p0, lo, hi))
     count, n = p.shape
     best = fn(p)
     evals = np.ones(count, dtype=np.int64)
     step = np.full(count, _STEP_INIT)
-    pos = np.zeros(count, dtype=np.int64)  # 2 * coordinate + (0: +step, 1: -step)
+    pos = np.zeros(count, dtype=np.int64)  # next poll: 2 * coordinate + (0: +step, 1: -step)
     improved = np.zeros(count, dtype=bool)
-
-    def poll(rows):
-        """The next candidates of `rows`, and which of them are skipped."""
-        coord = pos[rows] // 2
-        at = np.arange(rows.size)
-        q = p[rows]
-        q[at, coord] += np.where(pos[rows] % 2 == 0, step[rows], -step[rows])
-        q = project(np.clip(q, lo, hi))
-        return q, q[at, coord] == p[rows, coord]
-
-    def end_sweeps(rows):
-        """Close the sweep of the rows whose cursor ran off its end; return
-        which of `rows` are still searching."""
-        wrap = rows[pos[rows] == 2 * n]
-        if wrap.size:
-            step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * _STEP_SHRINK)
-            improved[wrap] = False
-            pos[wrap] = 0
-        return step[rows] >= _STEP_FLOOR
-
-    live = np.flatnonzero((step >= _STEP_FLOOR) & (evals < max_evals))
+    polls = np.arange(2 * n)
+    coord = polls // 2
+    sign = np.where(polls % 2 == 0, 1.0, -1.0)
+    chunk = max(1, _STENCIL_CELLS // (2 * n * n))
+    live = np.flatnonzero(evals < max_evals)
     while live.size:
-        cand, skip = poll(live)
-        while skip.any():
-            # A skipped poll costs nothing: move on and poll again.
-            pos[live[skip]] += 1
-            redo = np.flatnonzero(skip)[end_sweeps(live[skip])]
-            keep = ~skip
-            keep[redo] = True
-            cand[redo], skip[redo] = poll(live[redo])
-            live, cand, skip = live[keep], cand[keep], skip[keep]
-        if not live.size:
-            break
-        vals = fn(cand)
-        evals[live] += 1
-        better = vals > best[live]
-        moved = live[better]
-        p[moved] = cand[better]
-        best[moved] = vals[better]
-        improved[moved] = True
-        pos[live] = np.where(better, pos[live] // 2 * 2 + 2, pos[live] + 1)
+        for start in range(0, live.size, chunk):
+            rows = live[start : start + chunk]
+            m = rows.size
+            base = p[rows]
+            cand = np.repeat(base[:, None], 2 * n, axis=1)
+            # p is inside [lo, hi], so clamping a poll clamps its own coordinate
+            cand[:, polls, coord] = np.clip(
+                base[:, coord] + sign * step[rows, None], lo[coord], hi[coord]
+            )
+            cand = project(cand.reshape(-1, n))
+            moves = cand.reshape(m, 2 * n, n)[:, polls, coord] != base[:, coord]
+            active = (polls >= pos[rows, None]) & moves
+            rank = active.cumsum(axis=1)
+            room = max_evals - evals[rows]
+            kept = np.flatnonzero(active & (rank <= room[:, None]))
+            vals = np.full(m * 2 * n, -math.inf)
+            if kept.size:
+                vals[kept] = fn(cand[kept])
+            better = vals.reshape(m, 2 * n) > best[rows, None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)
+            evals[rows] += np.where(
+                hit, rank[np.arange(m), first], np.minimum(rank[:, -1], room)
+            )
+            moved, at = rows[hit], np.flatnonzero(hit) * 2 * n + first[hit]
+            p[moved] = cand[at]
+            best[moved] = vals[at]
+            improved[moved] = True
+            pos[moved] = first[hit] // 2 * 2 + 2
+            pos[rows[~hit]] = 2 * n
         live = live[evals[live] < max_evals]
-        live = live[end_sweeps(live)]
+        wrap = live[pos[live] == 2 * n]
+        step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * _STEP_SHRINK)
+        improved[wrap] = False
+        pos[wrap] = 0
+        live = live[step[live] >= _STEP_FLOOR]
     return best, p, evals
 
 
@@ -187,7 +198,10 @@ def _search_objective(spec, objective, d):
         nyf = _norm_rows(spec, yfs)
         ok = (nx > 1e-12) & (nyf > 1e-12)
         ys = yfs[ok] * (nx[ok] / nyf[ok])[:, None]
-        gammas = np.array([math.exp(v) for v in q[ok, -1]])
+        # math.exp, not np.exp, so a witness's gamma replays to the bit; a
+        # stack repeats each restart's log-gamma in all but two of its polls.
+        logs, back = np.unique(q[ok, -1], return_inverse=True)
+        gammas = np.array([math.exp(v) for v in logs.tolist()])[back]
         lhs, rhs = _batch_lhs_rhs(objective, spec, xs[ok], ys, gammas=gammas)
         out = np.full(len(q), -math.inf)
         out[ok] = lhs - rhs

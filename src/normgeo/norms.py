@@ -28,6 +28,8 @@ DEFAULT_RADIUS_RANGE = (0.5, 4.0)
 
 _AXIOM_STREAM = 0
 _BLOCK = 1 << 14
+# Largest accepted dim: an 8192-row stack of such vectors is 64 MiB.
+_MAX_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,8 @@ class NormSpec:
     def __post_init__(self):
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise NormSpecError(f"dim must be a positive integer, got {self.dim!r}")
+        if self.dim > _MAX_DIM:
+            raise NormSpecError(f"dim must be at most {_MAX_DIM}, got {self.dim}")
         if self.kind in (LP, WEIGHTED_LP):
             p = self.p
             if isinstance(p, bool) or not isinstance(p, (int, float)):

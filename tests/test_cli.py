@@ -336,8 +336,9 @@ def _single_error_line(err):
     [
         {"kind": "weighted_lp", "p": 2, "weights": ["a"], "dim": 1},
         {"kind": "quadratic", "gram": [[1.0, 0.0], [0.0]], "dim": 2},
+        {"kind": "lp", "p": 2, "dim": 10**30},
     ],
-    ids=["non-numeric-weights", "ragged-gram"],
+    ids=["non-numeric-weights", "ragged-gram", "huge-dim"],
 )
 def test_malformed_spec_values_are_input_errors(payload, capsys, tmp_path):
     path = tmp_path / "spec.json"

@@ -213,6 +213,15 @@ def test_parse_norm_spec_dim_consistency():
         ng.parse_norm_spec('{"kind":"quadratic","gram":[[1.0]],"dim":2}')
 
 
+def test_parse_norm_spec_bounds_dim():
+    assert ng.parse_norm_spec('{"kind":"lp","p":2,"dim":1024}').dim == 1024
+    for dim in (1025, 10**30):
+        with pytest.raises(ng.NormSpecError, match="at most 1024"):
+            ng.parse_norm_spec(json.dumps({"kind": "lp", "p": 2, "dim": dim}))
+    with pytest.raises(ng.NormSpecError, match="at most 1024"):
+        ng.weighted_lp_norm(2, np.ones(1025))
+
+
 def test_malformed_weights_and_gram_are_spec_errors():
     with pytest.raises(ng.NormSpecError, match="weights"):
         ng.parse_norm_spec('{"kind":"weighted_lp","p":2,"weights":["a"],"dim":1}')

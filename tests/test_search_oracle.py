@@ -265,3 +265,61 @@ def test_side_check_refine_matches_scalar_reference(name, monkeypatch):
         assert res.value == val
         assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
         assert res.evaluations == evals
+
+
+@pytest.mark.parametrize("objective", CONDITIONAL_IDS, ids=lambda o: o.value)
+@pytest.mark.parametrize("name", ["l1", "gram4"])
+def test_tiny_budgets_cut_the_stencil_like_the_scalar_reference(name, objective, monkeypatch):
+    spec = SPECS[name]
+    n = 2 * spec.dim + (objective is not InequalityId.ALPHA_BETA)
+    for cells in (det._STENCIL_CELLS, 1):
+        # cells=1 puts every restart in an fn call of its own
+        monkeypatch.setattr(det, "_STENCIL_CELLS", cells)
+        for budget in (1, 2, 3, 2 * n - 1, 2 * n + 1):
+            config = ng.SearchConfig(
+                dim=spec.dim, seed=17, restarts=5, iters_per_restart=budget,
+                radius_range=(1.0, 1.5),
+            )
+            vals, points, _, evals = det._search_restarts(spec, objective, config)
+            for r in range(config.restarts):
+                val, p, used = ref_restart(spec, objective, config, r, [])
+                assert (vals[r], evals[r]) == (val, used), (cells, budget, r)
+                assert np.array_equal(points[r], p), (cells, budget, r)
+
+
+def toy_fn(q):
+    """Rows scored independently with exact arithmetic only; maximum at c."""
+    c = np.array([0.3, -1.1, 0.05, 2.0])
+    return -np.abs(q - c).sum(axis=1) - 0.01 * q[:, 0] * q[:, 2]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 7, 8, 9, 40, 400])
+def test_pinned_coordinates_are_skipped_without_cost(budget):
+    # Coordinates 0 and 3 are pinned by lo == hi, so every sweep skips 4 of
+    # its 8 polls; a budget must be spent on the other 4 alone.
+    lo = np.array([0.5, -math.inf, -1.0, 1.0])
+    hi = np.array([0.5, math.inf, 1.0, 1.0])
+    p0 = np.random.default_rng(3).normal(size=(6, 4))
+    vals, points, evals = det._compass_search(toy_fn, p0, budget, lo, hi, lambda q: q)
+    for r in range(len(p0)):
+        val, p, used = ref_compass(
+            lambda q: toy_fn(q[None])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
+        )
+        assert (vals[r], evals[r]) == (val, used), r
+        assert np.array_equal(points[r], p), r
+
+
+def test_all_polls_skipped_stops_at_the_step_floor_after_one_evaluation():
+    rows = []
+
+    def fn(q):
+        rows.append(len(q))
+        return toy_fn(q)
+
+    p0 = np.random.default_rng(4).normal(size=(3, 4))
+    bound = np.array([0.5, -0.25, 0.0, 1.0])
+    vals, points, evals = det._compass_search(fn, p0, 2000, bound, bound, lambda q: q)
+    assert rows == [3]
+    assert evals.tolist() == [1, 1, 1]
+    assert np.array_equal(points, np.tile(bound, (3, 1)))
+    assert np.array_equal(vals, toy_fn(points))
