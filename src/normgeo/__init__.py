@@ -58,8 +58,6 @@ from .norms import (
     WEIGHTED_LP,
     AxiomReport,
     NormSpec,
-    Tolerances,
-    as_vector,
     gram_validate,
     load_norm_spec,
     lp_norm,

@@ -28,7 +28,7 @@ from .detect import (
 from .errors import NormGeoError
 from .functional import n_curve, write_curve_csv
 from .inequalities import UNIVERSAL_IDS, batch_min_slack
-from .norms import as_vector, load_norm_spec, spec_to_dict, validate_norm_axioms
+from .norms import _AXIOM_TOL, load_norm_spec, spec_to_dict, validate_norm_axioms
 
 _UNIVERSAL_SLACK_FLOOR = -1e-9
 
@@ -111,8 +111,7 @@ def _cmd_verify(args):
 
 def _cmd_curve(args):
     spec = _load(args)
-    x = as_vector(_parse_vector(args.x), spec.dim)
-    y = as_vector(_parse_vector(args.y), spec.dim)
+    x, y = _parse_vector(args.x), _parse_vector(args.y)
     rows = n_curve(spec, x, y, args.t_min, args.t_max, args.steps)
     buf = io.StringIO()
     write_curve_csv(rows, buf)
@@ -211,7 +210,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="sampled norm-axiom check")
     common(p)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=_AXIOM_TOL)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("curve", help="CSV of ||x+ty|| and ||y+tx|| on a grid")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormGeoError, ZeroVectorError
+from .errors import NormGeoError
 from .inequalities import (
     _GAMMA_LOG_BAND,
     CONDITIONAL_IDS,
@@ -25,7 +25,11 @@ from .inequalities import (
     _batch_lhs_rhs,
     _norm_rows,
 )
-from .norms import DEFAULT_RADIUS_RANGE, DEFAULT_TOL, norm_eval, sample_points, stream
+from .norms import DEFAULT_RADIUS_RANGE, sample_points, stream
+
+# perfbench/tracer.py substitutes detect.norm_eval, so the name stays
+# importable although nothing here calls it.
+from .norms import norm_eval  # noqa: F401
 
 VIOLATED = "VIOLATED"
 CONSISTENT = "CONSISTENT"
@@ -37,10 +41,20 @@ _STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
 _REFINE_TOP = 8
+_REFINE_BLOCK = 1 << 13
 _SEARCH_STREAM = 2
 _DW_STREAM = 3
 _PG_STREAM = 4
 _PG_DISCREPANCY = 1e-6
+_DW_SEPARATION_REL = 1e-8
+# A pair counts only if both norms exceed this: dividing by a smaller norm
+# can overflow, so ALPHA_BETA, LORCH and the DW estimate skip such pairs.
+_NORM_FLOOR = 1e-12
+# The coordinate after x and y: t for N_ORDERING, log|gamma| for LORCH.
+_LAST_COORD_BAND = {
+    InequalityId.N_ORDERING: (0.0, 1.0),
+    InequalityId.LORCH: _GAMMA_LOG_BAND,
+}
 
 
 @dataclass(frozen=True)
@@ -162,52 +176,49 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     return best, p, evals
 
 
-def _search_objective(spec, objective, d):
-    """fn(q) -> -slack of each parameter row (higher = worse violation).
+def _decode_points(spec, objective, d, q):
+    """The pairs a parameter stack q stands for: (ok, xs, ys, ts, gammas).
 
-    LORCH scores the positive gamma exp(q[-1]): negating gamma negates
-    gamma*x + y/gamma, which leaves its norm and so the slack unchanged.
+    Each row is x, y and, for N_ORDERING and LORCH, one more coordinate:
+    t itself, or log|gamma|. ALPHA_BETA and LORCH rows count (ok) only if
+    ||x|| and ||y|| both exceed 1e-12. LORCH rescales y to ||x|| on those
+    rows and keeps the raw y on the rest; its gamma is the positive
+    exp(q[-1]), because negating gamma negates gamma*x + y/gamma and
+    leaves its norm, and so the slack, unchanged.
     """
+    xs, ys = q[:, :d], q[:, d : 2 * d]
     if objective is InequalityId.N_ORDERING:
-
-        def fn(q):
-            lhs, rhs = _batch_lhs_rhs(
-                objective, spec, q[:, :d], q[:, d : 2 * d], ts=q[:, -1]
-            )
-            return lhs - rhs
-
-        return fn
+        return np.ones(len(q), dtype=bool), xs, ys, q[:, -1], None
+    nx = _norm_rows(spec, xs)
+    ny = _norm_rows(spec, ys)
+    ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR)
     if objective is InequalityId.ALPHA_BETA:
+        return ok, xs, ys, None, None
+    scale = np.ones(len(q))
+    scale[ok] = nx[ok] / ny[ok]
+    ys = ys * scale[:, None]
+    # math.exp, not np.exp, so a witness's gamma replays to the bit; a
+    # stack repeats each restart's log-gamma in all but two of its polls.
+    logs, back = np.unique(q[:, -1], return_inverse=True)
+    return ok, xs, ys, None, np.array([math.exp(v) for v in logs.tolist()])[back]
 
-        def fn(q):
-            xs, ys = q[:, :d], q[:, d : 2 * d]
-            try:
-                lhs, rhs = _batch_lhs_rhs(objective, spec, xs, ys)
-            except ZeroVectorError:
-                ok = (_norm_rows(spec, xs) > 0.0) & (_norm_rows(spec, ys) > 0.0)
-                out = np.full(len(q), -math.inf)
-                out[ok] = fn(q[ok])
-                return out
-            return lhs - rhs
 
-        return fn
-
-    def fn(q):
-        xs, yfs = q[:, :d], q[:, d : 2 * d]
-        nx = _norm_rows(spec, xs)
-        nyf = _norm_rows(spec, yfs)
-        ok = (nx > 1e-12) & (nyf > 1e-12)
-        ys = yfs[ok] * (nx[ok] / nyf[ok])[:, None]
-        # math.exp, not np.exp, so a witness's gamma replays to the bit; a
-        # stack repeats each restart's log-gamma in all but two of its polls.
-        logs, back = np.unique(q[ok, -1], return_inverse=True)
-        gammas = np.array([math.exp(v) for v in logs.tolist()])[back]
-        lhs, rhs = _batch_lhs_rhs(objective, spec, xs[ok], ys, gammas=gammas)
-        out = np.full(len(q), -math.inf)
-        out[ok] = lhs - rhs
-        return out
-
-    return fn
+def _score_points(spec, objective, d, q):
+    """-slack of each parameter row (higher = worse violation); rows the
+    decoder does not count score -inf."""
+    ok, xs, ys, ts, gammas = _decode_points(spec, objective, d, q)
+    rows = slice(None) if ok.all() else ok  # a slice takes views, not copies
+    lhs, rhs = _batch_lhs_rhs(
+        objective,
+        spec,
+        xs[rows],
+        ys[rows],
+        ts=None if ts is None else ts[rows],
+        gammas=None if gammas is None else gammas[rows],
+    )
+    out = np.full(len(q), -math.inf)
+    out[rows] = lhs - rhs
+    return out
 
 
 def _make_project(d, r_lo):
@@ -235,28 +246,21 @@ def _search_restarts(spec, objective, config):
     evaluations."""
     d = config.dim
     obj_index = CONDITIONAL_IDS.index(objective)
+    band = _LAST_COORD_BAND.get(objective)
+    bounds = [(-math.inf, math.inf)] * (2 * d) + ([band] if band else [])
+    lo, hi = np.array(bounds).T
     starts = []
     signs = np.ones(config.restarts)
-    lo = np.full(2 * d, -math.inf)
-    hi = np.full(2 * d, math.inf)
-    if objective is InequalityId.N_ORDERING:
-        lo = np.append(lo, 0.0)
-        hi = np.append(hi, 1.0)
-    elif objective is InequalityId.LORCH:
-        lo = np.append(lo, _GAMMA_LOG_BAND[0])
-        hi = np.append(hi, _GAMMA_LOG_BAND[1])
     for r in range(config.restarts):
         rng = stream(config.seed, _SEARCH_STREAM, obj_index, r)
-        pts = sample_points(d, rng, 2, config.radius_range)
-        start = [pts[0], pts[1]]
-        if objective is InequalityId.N_ORDERING:
-            start.append([rng.uniform(0.0, 1.0)])
-        elif objective is InequalityId.LORCH:
+        start = list(sample_points(d, rng, 2, config.radius_range))
+        if objective is InequalityId.LORCH:
             signs[r] = -1.0 if rng.random() < 0.5 else 1.0
-            start.append([rng.uniform(*_GAMMA_LOG_BAND)])
+        if band:
+            start.append([rng.uniform(*band)])
         starts.append(np.concatenate(start))
     best, p, evals = _compass_search(
-        _search_objective(spec, objective, d),
+        lambda q: _score_points(spec, objective, d, q),
         np.array(starts),
         config.iters_per_restart,
         lo,
@@ -266,23 +270,14 @@ def _search_restarts(spec, objective, config):
     return best, p, signs, evals
 
 
-def _decode_witness(spec, objective, d, p, sign):
-    x = p[:d].copy()
-    if objective is InequalityId.N_ORDERING:
-        return Witness(x=x, y=p[d : 2 * d].copy(), t=float(p[-1]))
-    if objective is InequalityId.ALPHA_BETA:
-        return Witness(x=x, y=p[d : 2 * d].copy())
-    yf = p[d : 2 * d]
-    y = yf * (norm_eval(spec, x) / norm_eval(spec, yf))
-    return Witness(x=x, y=y, gamma=sign * math.exp(float(p[-1])))
-
-
 def violation_search(spec, objective, config):
     """Multi-start pattern search for a negative-slack witness.
 
     All restarts advance together on one thread, and restart r draws from
     the (seed, objective, r) stream, so adding restarts can only improve
-    the result (ties keep the earliest restart).
+    the result (ties keep the earliest restart). The witness is the best
+    restart's point put through the search's own decoder, so it replays
+    to the reported slack bit for bit.
     """
     objective = InequalityId(objective)
     if objective not in CONDITIONAL_IDS:
@@ -290,13 +285,16 @@ def violation_search(spec, objective, config):
     if config.dim != spec.dim:
         raise NormGeoError(f"config dim {config.dim} != norm dim {spec.dim}")
     vals, points, signs, evals = _search_restarts(spec, objective, config)
-    r_best = 0
-    for r in range(1, config.restarts):
-        if vals[r] > vals[r_best]:
-            r_best = r
+    r_best = int(np.argmax(vals))
     val = float(vals[r_best])
-    witness = _decode_witness(
-        spec, objective, config.dim, points[r_best], float(signs[r_best])
+    _, xs, ys, ts, gammas = _decode_points(
+        spec, objective, config.dim, points[r_best : r_best + 1]
+    )
+    witness = Witness(
+        x=xs[0].copy(),
+        y=ys[0].copy(),
+        t=None if ts is None else float(ts[0]),
+        gamma=None if gammas is None else float(signs[r_best] * gammas[0]),
     )
     return SearchResult(
         objective=objective,
@@ -334,24 +332,42 @@ class RefinedMaxResult:
 
 def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
     """Sample `budget` pairs, score them with batch_fn, refine the best few
-    with the same compass search the violation searches use."""
+    with the same compass search the violation searches use.
+
+    Pairs are drawn and scored in blocks of _REFINE_BLOCK, block b from
+    the (seed, tag, b) stream, so memory stays bounded for any budget. A
+    running top _REFINE_TOP keeps the best finite scores, ties going to
+    the earliest pair.
+    """
     dim = spec.dim
     if budget < 1:
         raise NormGeoError("budget must be >= 1")
-    rng = stream(seed, tag, 0)
-    xs = sample_points(dim, rng, budget, radius_range)
-    ys = sample_points(dim, rng, budget, radius_range)
-    scores = batch_fn(xs, ys)
-    skipped = int(np.isneginf(scores).sum())
-    order = np.argsort(-scores, kind="stable")
-    top = [int(i) for i in order[:_REFINE_TOP] if math.isfinite(scores[i])]
-    if not top:
-        return -math.inf, (xs[0], ys[0]), budget, skipped
-    best_val = float(scores[top[0]])
-    best_pair = (xs[top[0]], ys[top[0]])
+    top_s = np.empty(0)
+    top_x = top_y = np.empty((0, dim))
+    skipped = 0
+    for b, start in enumerate(range(0, budget, _REFINE_BLOCK)):
+        rng = stream(seed, tag, b)
+        count = min(_REFINE_BLOCK, budget - start)
+        xs = sample_points(dim, rng, count, radius_range)
+        ys = sample_points(dim, rng, count, radius_range)
+        if b == 0:
+            first = (xs[0], ys[0])
+        scores = batch_fn(xs, ys)
+        skipped += int(np.isneginf(scores).sum())
+        # stable: earlier pairs come first in the stack, so they win ties
+        top_s = np.concatenate([top_s, scores])
+        top_x = np.concatenate([top_x, xs])
+        top_y = np.concatenate([top_y, ys])
+        order = np.argsort(-top_s, kind="stable")[:_REFINE_TOP]
+        order = order[np.isfinite(top_s[order])]
+        top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]
+    if not top_s.size:
+        return -math.inf, first, budget, skipped
+    best_val = float(top_s[0])
+    best_pair = (top_x[0], top_y[0])
     vals, points, evals = _compass_search(
         lambda q: batch_fn(q[:, :dim], q[:, dim:]),
-        np.concatenate([xs[top], ys[top]], axis=1),
+        np.concatenate([top_x, top_y], axis=1),
         _SIDE_BUDGET,
         np.full(2 * dim, -math.inf),
         np.full(2 * dim, math.inf),
@@ -373,14 +389,13 @@ def dw_constant_estimate(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
     through. The true constant can only be larger. Equals 2 for
     inner-product norms, at most 4 for any norm.
     """
-    floor = DEFAULT_TOL.dw_separation_rel
 
     def batch_fn(xs, ys):
         nx = _norm_rows(spec, xs)
         ny = _norm_rows(spec, ys)
         d = _norm_rows(spec, xs - ys)
         s = nx + ny
-        ok = (nx > 1e-12) & (ny > 1e-12) & (d >= floor * s)
+        ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR) & (d >= _DW_SEPARATION_REL * s)
         nx, ny, d = (np.where(ok, v, 1.0) for v in (nx, ny, d))
         alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
         return np.where(ok, alpha * s / d, -math.inf)

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DerivativeConvergenceError, NormGeoError
-from .norms import DEFAULT_TOL, NormSpec, _vector_pair, norm_eval, quadratic_norm
+from .norms import NormSpec, _vector_pair, norm_eval, quadratic_norm
 
 LEFT = "left"
 RIGHT = "right"
+
+_DERIVATIVE_AGREE_REL = 1e-7
+_DERIVATIVE_STEP_FLOOR = 1e-10
+_ORDER_TIE_REL = 1e-12
 
 
 def n_eval(spec, x, y, t):
@@ -45,8 +49,7 @@ def n_curve(spec, x, y, t_min, t_max, steps):
         raise NormGeoError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     if steps < 2:
         raise NormGeoError(f"need at least 2 grid points, got {steps}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     ts = np.linspace(t_min, t_max, steps)
     n_xy = norm_eval(spec, x[None, :] + ts[:, None] * y[None, :])
     n_yx = norm_eval(spec, y[None, :] + ts[:, None] * x[None, :])
@@ -84,8 +87,7 @@ def one_sided_derivative(spec, x, y, t, side):
     if side not in (LEFT, RIGHT):
         raise NormGeoError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
     t = float(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     sgn = 1.0 if side == RIGHT else -1.0
     f0 = n_eval(spec, x, y, t)
     h = 1e-2 * (1.0 + abs(t))
@@ -95,14 +97,14 @@ def one_sided_derivative(spec, x, y, t, side):
         q = (n_eval(spec, x, y, t + sgn * h) - f0) / (sgn * h)
         if prev_q is not None:
             r = 2.0 * q - prev_q
-            agree = DEFAULT_TOL.derivative_agree_rel * (1.0 + abs(r))
+            agree = _DERIVATIVE_AGREE_REL * (1.0 + abs(r))
             if prev_r is not None and abs(r - prev_r) < agree:
                 return DerivativeEstimate(
                     t=t, side=side, value=r, step_sequence_floor=h
                 )
             prev_r = r
         prev_q = q
-        if h <= DEFAULT_TOL.derivative_step_floor:
+        if h <= _DERIVATIVE_STEP_FLOOR:
             raise DerivativeConvergenceError(
                 f"difference quotients did not stabilize above step {h:.3e} "
                 f"at t={t} ({side})"
@@ -121,8 +123,7 @@ def convexity_defect(spec, x, y, t_grid):
         raise NormGeoError(f"grid must hold at least 3 points, got {g.size}")
     if not np.all(np.isfinite(g)) or not np.all(np.diff(g) > 0.0):
         raise NormGeoError("grid must be finite and strictly increasing")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     a = g[:-2]
     b = g[2:]
     mid = 0.5 * (a + b)
@@ -134,8 +135,7 @@ def convexity_defect(spec, x, y, t_grid):
 
 def reflection_identity_defect(spec, x, y, t):
     """|n_{x,y}(t) - n_{x,-y}(-t)|, both sides evaluated independently."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     a = n_eval(spec, x, y, t)
     b = n_eval(spec, x, -y, -t)
     return abs(a - b)
@@ -151,13 +151,12 @@ def reciprocal_order_agreement(spec, x, y, t):
     t = float(t)
     if t == 0.0 or not math.isfinite(t):
         raise NormGeoError(f"t must be finite and nonzero, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     a = n_eval(spec, y, x, t)
     b = n_eval(spec, x, y, t)
     c = n_eval(spec, x, y, 1.0 / t)
     d = n_eval(spec, y, x, 1.0 / t)
-    tol = DEFAULT_TOL.order_tie_rel * (1.0 + max(a, b, c, d))
+    tol = _ORDER_TIE_REL * (1.0 + max(a, b, c, d))
 
     def rel(u, v):
         if u < v - tol:
@@ -182,8 +181,7 @@ def quadratic_difference_defect(gram_or_spec, x, y, t):
     else:
         spec = quadratic_norm(gram_or_spec)
     t = float(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector_pair(spec, x, y)
     nxy = n_eval(spec, x, y, t)
     nyx = n_eval(spec, y, x, t)
     nx = norm_eval(spec, x)

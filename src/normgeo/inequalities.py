@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NormGeoError, ZeroVectorError
 from .norms import (
     DEFAULT_RADIUS_RANGE,
-    DEFAULT_TOL,
     _norm_rows,
     _vector_pair,
     norm_eval,
@@ -57,6 +56,7 @@ CONDITIONAL_IDS = (
 _GAMMA_LOG_BAND = (math.log(0.125), math.log(8.0))  # |gamma| in [1/8, 8]
 _BATCH_STREAM = 1
 _BATCH_BLOCK = 1 << 13
+_EQUAL_NORM_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
             raise NormGeoError(f"LORCH needs finite nonzero gamma, got {gamma}")
         nx = norm_eval(spec, x)
         ny = norm_eval(spec, y)
-        if abs(nx - ny) > DEFAULT_TOL.equal_norm_rel * max(nx, ny):
+        if abs(nx - ny) > _EQUAL_NORM_REL * max(nx, ny):
             raise NormGeoError(
                 f"LORCH needs ||x|| = ||y|| (got {nx:.17g} vs {ny:.17g}); "
                 "rescale before calling"

@@ -27,25 +27,11 @@ QUADRATIC = "quadratic"
 DEFAULT_RADIUS_RANGE = (0.5, 4.0)
 
 _AXIOM_STREAM = 0
+_AXIOM_TOL = 1e-9
+_GRAM_SYMMETRY_REL = 1e-12
 _BLOCK = 1 << 14
 # Largest accepted dim: an 8192-row stack of such vectors is 64 MiB.
 _MAX_DIM = 1024
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default tolerances, kept in one place instead of scattered literals."""
-
-    axiom_rel: float = 1e-9
-    gram_symmetry_rel: float = 1e-12
-    order_tie_rel: float = 1e-12
-    equal_norm_rel: float = 1e-9
-    derivative_agree_rel: float = 1e-7
-    derivative_step_floor: float = 1e-10
-    dw_separation_rel: float = 1e-8
-
-
-DEFAULT_TOL = Tolerances()
 
 
 def _float_array(value, what, error=NormSpecError):
@@ -138,7 +124,6 @@ def gram_validate(gram):
     which pivot went nonpositive (e.g. [[1,2],[2,1]] fails at index 1
     with pivot -3). Symmetry is required up to a relative 1e-12.
     """
-    tol = DEFAULT_TOL.gram_symmetry_rel
     a = _float_array(gram, "gram", GramValidationError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GramValidationError(f"gram must be square, got shape {a.shape}")
@@ -146,10 +131,10 @@ def gram_validate(gram):
         raise GramValidationError("gram has nonfinite entries")
     scale = float(np.abs(a).max()) if a.size else 0.0
     asym = float(np.abs(a - a.T).max())
-    if asym > tol * max(scale, 1e-300):
+    if asym > _GRAM_SYMMETRY_REL * max(scale, 1e-300):
         raise GramValidationError(
             f"gram is not symmetric: max |G - G'| = {asym:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"exceeds {_GRAM_SYMMETRY_REL:.1e} * {scale:.3e}"
         )
     n = a.shape[0]
     work = a.copy()
@@ -229,24 +214,12 @@ def _lp_rows(spec, v):
     return m[..., 0] * s
 
 
-def as_vector(x, dim=None):
-    """Coerce to a finite 1-D float vector; used at API boundaries."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise NormSpecError(f"expected a flat vector, got shape {v.shape}")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatchError(f"expected length {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise NormSpecError("vector has nonfinite entries")
-    return v
-
-
 def _vector_pair(spec, x, y):
     """x and y as float vectors of length spec.dim with finite entries; the
     check every library entry point that takes a pair x, y makes."""
     pair = []
     for v in (x, y):
-        v = np.asarray(v, dtype=float)
+        v = _float_array(v, "x and y", NormGeoError)
         if v.shape != (spec.dim,):
             raise DimensionMismatchError(
                 f"expected vectors of length {spec.dim}, got shape {v.shape}"
@@ -313,11 +286,14 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
 
     Records the worst relative homogeneity defect |n(lx)-|l|n(x)|, the worst
     relative triangle slack n(x)+n(y)-n(x+y), and the smallest norm seen over
-    nonzero samples. Deterministic for a fixed seed.
+    nonzero samples; both defects must stay within tol (default 1e-9),
+    which must be finite and >= 0. Deterministic for a fixed seed.
     """
     if trials < 1:
         raise NormSpecError("trials must be >= 1")
-    tol = DEFAULT_TOL.axiom_rel if tol is None else float(tol)
+    tol = _AXIOM_TOL if tol is None else float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise NormGeoError(f"tol must be finite and >= 0, got {tol}")
     worst_h = 0.0
     worst_t = math.inf
     worst_p = math.inf
@@ -389,22 +365,8 @@ def parse_norm_spec(obj):
         raise NormSpecError(f"unknown keys for kind {kind!r}: {sorted(extra)}")
     if missing:
         raise NormSpecError(f"missing keys for kind {kind!r}: {sorted(missing)}")
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise NormSpecError(f"dim must be an integer, got {dim!r}")
-    if kind == LP:
-        return lp_norm(_parse_p(obj["p"]), dim)
-    if kind == WEIGHTED_LP:
-        spec = weighted_lp_norm(_parse_p(obj["p"]), obj["weights"])
-        if spec.dim != dim:
-            raise NormSpecError(
-                f"dim {dim} does not match {spec.dim} weights"
-            )
-        return spec
-    spec = quadratic_norm(obj["gram"])
-    if spec.dim != dim:
-        raise NormSpecError(f"dim {dim} does not match gram shape {spec.dim}")
-    return spec
+    p = _parse_p(obj["p"]) if "p" in obj else None
+    return NormSpec(kind, obj["dim"], p, obj.get("weights"), obj.get("gram"))
 
 
 def load_norm_spec(path):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normgeo as ng
 from normgeo.cli import main
@@ -349,6 +354,15 @@ def test_malformed_spec_values_are_input_errors(payload, capsys, tmp_path):
     _single_error_line(err)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_is_input_error(tol, specs, capsys):
+    # exit 2 would claim the norm failed its axioms; inf would pass any norm
+    rc, out, err = run(capsys, "verify", "--norm", specs["l2"], "--seed", "1", f"--tol={tol}")
+    assert rc == 1
+    assert out == ""
+    _single_error_line(err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -375,3 +389,83 @@ def test_curve_rejects_empty_coordinate(text, specs, capsys):
     assert out == ""
     assert "empty coordinate" in err
     _single_error_line(err)
+
+
+# The p=2 and gram kernels overflow past about 1e154, so well-formed numbers
+# stay within 1e3 of zero; that overflow is a separate matter.
+_BOUND = 1e3
+
+
+def _within_bound(text):
+    """False if some comma-separated part reads as a finite number past _BOUND."""
+    for part in text.split(","):
+        try:
+            v = float(part)
+        except ValueError:
+            continue
+        if math.isfinite(v) and abs(v) > _BOUND:
+            return False
+    return True
+
+
+_NUMBER = st.floats(-_BOUND, _BOUND).map(repr) | st.integers(-1000, 1000).map(str)
+_ODD = st.sampled_from(["nan", "inf", "-inf", "", " ", "x", "1e999", "0x10", "1_0"])
+_TEXT = st.text(max_size=12).filter(_within_bound)
+_SCALAR = _NUMBER | _ODD | _TEXT
+_VECTOR = st.lists(_NUMBER | _ODD, max_size=4).map(",".join) | _TEXT
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2).map(",".join)
+_T_ORDERED = st.lists(st.floats(-_BOUND, _BOUND), min_size=2, max_size=2, unique=True).map(
+    lambda ts: tuple(repr(t) for t in sorted(ts))
+)
+# x, y, t_min and t_max: half of the draws well-formed, so that a fair
+# share of curve calls get through to the output
+_CURVE_ARGS = st.tuples(_PAIR, _PAIR, _T_ORDERED) | st.tuples(
+    _VECTOR, _VECTOR, st.tuples(_SCALAR, _SCALAR)
+)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("specs")
+    for name, payload in {
+        "l1": {"kind": "lp", "p": 1, "dim": 2},
+        "l2": {"kind": "lp", "p": 2, "dim": 2},
+        "linf": {"kind": "lp", "p": "inf", "dim": 2},
+        "quad": {"kind": "quadratic", "dim": 2, "gram": [[2.0, 0.5], [0.5, 1.0]]},
+    }.items():
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    return root
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["curve", "verify"]),
+    norm=st.sampled_from(["l1", "l2", "linf", "quad"]),
+    curve_args=_CURVE_ARGS,
+    count=st.integers(2, 1000) | st.integers(-5, 1),
+    tol=_SCALAR,
+)
+def test_main_fuzz_exits_cleanly(spec_dir, command, norm, curve_args, count, tol):
+    argv = [command, "--norm", str(spec_dir / f"{norm}.json")]
+    if command == "curve":
+        x, y, (t_min, t_max) = curve_args
+        argv += [f"--x={x}", f"--y={y}", f"--t-min={t_min}", f"--t-max={t_max}"]
+        argv += [f"--steps={count}"]
+    else:
+        argv += ["--seed", "1", f"--trials={count}", f"--tol={tol}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.strip().splitlines()[-1].startswith("error:")
+    elif command == "verify" and rc == 2:
+        # only a tol at rounding level, such as 0, fails a norm on its rounding
+        assert 0.0 <= float(tol) < 1e-9
+        assert json.loads(out.getvalue())["passed"] is False
+    else:
+        assert rc == 0, (rc, err)

@@ -182,6 +182,31 @@ def test_quadratic_difference_identity():
         assert defect <= 1e-9 * (nx * nx + ny * ny)
 
 
+ENTRY_POINTS = {
+    "n_curve": lambda x, y: ng.n_curve(L1, x, y, 0.0, 1.0, 3),
+    "convexity_defect": lambda x, y: ng.convexity_defect(L1, x, y, [0.0, 0.5, 1.0]),
+    "one_sided_derivative": lambda x, y: ng.one_sided_derivative(L1, x, y, 0.5, ng.RIGHT),
+    "reflection_identity_defect": lambda x, y: ng.reflection_identity_defect(L1, x, y, 0.5),
+    "reciprocal_order_agreement": lambda x, y: ng.reciprocal_order_agreement(L1, x, y, 0.5),
+    "quadratic_difference_defect": lambda x, y: ng.quadratic_difference_defect(
+        [[2.0, 0.5], [0.5, 1.0]], x, y, 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([1.0], Y), ([math.nan, 0.0], Y), (X, [math.inf, 1.0])],
+    ids=["short-x", "nan-x", "inf-y"],
+)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_bad_vectors(entry, x, y):
+    # A short x used to broadcast against the other length-2 vector, and a
+    # NaN came back as the answer, instead of an error.
+    with pytest.raises(ng.NormGeoError):
+        ENTRY_POINTS[entry](x, y)
+
+
 def test_quadratic_difference_rejects_non_gram_spec():
     with pytest.raises(ng.NormGeoError):
         ng.quadratic_difference_defect(L1, X, Y, 0.5)

@@ -14,7 +14,7 @@ import pytest
 import normgeo as ng
 import normgeo.detect as det
 from normgeo.inequalities import CONDITIONAL_IDS, InequalityId
-from normgeo.norms import DEFAULT_TOL, norm_eval, sample_points, stream
+from normgeo.norms import norm_eval, sample_points, stream
 from support import random_spd
 
 SPECS = {
@@ -94,7 +94,7 @@ def ref_objective(spec, objective, d, sign):
         def fn(q):
             x, y = q[:d], q[d : 2 * d]
             nx, ny = n(x), n(y)
-            if not (nx > 0.0 and ny > 0.0):
+            if not (nx > 1e-12 and ny > 1e-12):
                 return -math.inf
             return n(x / nx - y / ny) - n(x / ny - y / nx)
 
@@ -161,23 +161,49 @@ def test_restarts_match_scalar_reference(name, objective):
     first_best = max(range(len(refs)), key=lambda r: (refs[r][0], -r))
     assert res.witness_slack == -refs[first_best][0]
     assert res.evaluations == sum(used for _, _, used in refs)
+    x, y, t, gamma = ref_witness(spec, objective, config, first_best, refs[first_best][1])
+    assert np.array_equal(res.witness.x, x) and np.array_equal(res.witness.y, y)
+    assert (res.witness.t, res.witness.gamma) == (t, gamma)
     rep = ng.evaluate_inequality(
         objective, spec, res.witness.x, res.witness.y, t=res.witness.t, gamma=res.witness.gamma
     )
     assert rep.slack == res.witness_slack
 
 
+def ref_witness(spec, objective, config, r, p):
+    """The pair restart r's final point p stands for, decoded one scalar
+    at a time; LORCH takes the sign restart r drew."""
+    d = config.dim
+    x, y = p[:d], p[d : 2 * d]
+    if objective is InequalityId.N_ORDERING:
+        return x, y, float(p[-1]), None
+    if objective is InequalityId.ALPHA_BETA:
+        return x, y, None, None
+    rng = stream(config.seed, 2, CONDITIONAL_IDS.index(objective), r)
+    sample_points(d, rng, 2, config.radius_range)
+    sign = -1.0 if rng.random() < 0.5 else 1.0
+    nx, ny = norm_eval(spec, x), norm_eval(spec, y)
+    if nx > 1e-12 and ny > 1e-12:
+        y = y * (nx / ny)
+    return x, y, None, sign * math.exp(p[-1])
+
+
+@pytest.mark.parametrize("name", ["l2", "gram4"])
 @pytest.mark.parametrize("objective", [InequalityId.ALPHA_BETA, InequalityId.LORCH])
-def test_rows_with_vanishing_norms_match_scalar_reference(objective):
-    # Starts this small square to zero in l_2, so their norms are 0 and both
-    # objectives score them -inf until a step lifts them off.
-    spec = ng.lp_norm(2, 2)
+def test_rows_with_vanishing_norms_match_scalar_reference(objective, name):
+    # Starts this small square to zero in l_2 and in a gram norm, so their
+    # norms are 0 and both objectives score them -inf until a step lifts
+    # them off. Rows whose norms are tiny but nonzero count as vanishing
+    # too: dividing x by such a norm overflows.
+    spec = ng.lp_norm(2, 2) if name == "l2" else SPECS[name]
     config = ng.SearchConfig(
-        dim=2, seed=5, restarts=8, iters_per_restart=60, radius_range=(1e-200, 1.0)
+        dim=spec.dim, seed=5, restarts=8, iters_per_restart=60, radius_range=(1e-200, 1.0)
     )
     obj_index = CONDITIONAL_IDS.index(objective)
     start_norms = [
-        norm_eval(spec, sample_points(2, stream(5, 2, obj_index, r), 2, config.radius_range))
+        norm_eval(
+            spec, sample_points(spec.dim, stream(5, 2, obj_index, r), 2, config.radius_range)
+        )
         for r in range(config.restarts)
     ]
     assert 0.0 in np.concatenate(start_norms)
@@ -185,6 +211,23 @@ def test_rows_with_vanishing_norms_match_scalar_reference(objective):
     for r in range(config.restarts):
         val, p, used = ref_restart(spec, objective, config, r, [])
         assert vals[r] == val and np.array_equal(points[r], p) and evals[r] == used
+
+
+@pytest.mark.parametrize("objective", [InequalityId.ALPHA_BETA, InequalityId.LORCH])
+def test_search_without_a_counted_point_reports_the_first_restart_raw(objective):
+    # A poll moves x or y, never both, so from starts this small no
+    # candidate ever has both norms above 1e-12: every restart ties at -inf.
+    spec = ng.lp_norm(2, 2)
+    config = ng.SearchConfig(
+        dim=2, seed=5, restarts=4, iters_per_restart=40, radius_range=(1e-200, 1e-100)
+    )
+    res = det.violation_search(spec, objective, config)
+    assert (res.best_violation, res.witness_slack) == (0.0, math.inf)
+    _, points, _, _ = det._search_restarts(spec, objective, config)
+    x, y, _, gamma = ref_witness(spec, objective, config, 0, points[0])
+    assert np.array_equal(res.witness.x, x) and np.array_equal(res.witness.y, y)
+    assert np.array_equal(res.witness.y, points[0][2:4])
+    assert res.witness.gamma == gamma
 
 
 def test_reference_exercises_projection_and_clamp_skips():
@@ -200,12 +243,20 @@ def test_reference_exercises_projection_and_clamp_skips():
     assert 2 * spec.dim in skips
 
 
-def ref_refine(spec, budget, seed, tag, scalar_fn):
+def ref_refine(spec, budget, seed, tag, scalar_fn, block=None, radius_range=(0.5, 4.0)):
+    """One unblocked selection over the per-block draws of the library:
+    block b of `block` pairs comes from the (seed, tag, b) stream."""
     dim = spec.dim
-    rng = stream(seed, tag, 0)
-    xs = sample_points(dim, rng, budget)
-    ys = sample_points(dim, rng, budget)
+    block = block or budget
+    xs, ys = [], []
+    for b, start in enumerate(range(0, budget, block)):
+        rng = stream(seed, tag, b)
+        count = min(block, budget - start)
+        xs.append(sample_points(dim, rng, count, radius_range))
+        ys.append(sample_points(dim, rng, count, radius_range))
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
     scores = np.array([scalar_fn(x, y) for x, y in zip(xs, ys)])
+    skipped = int(np.isneginf(scores).sum())
     order = np.argsort(-scores, kind="stable")
     top = [i for i in order[:8] if math.isfinite(scores[i])]
     best_val = float(scores[top[0]])
@@ -213,7 +264,7 @@ def ref_refine(spec, budget, seed, tag, scalar_fn):
     evals = 0
     lo = np.full(2 * dim, -math.inf)
     hi = np.full(2 * dim, math.inf)
-    project = ref_project(dim, 0.5, [])
+    project = ref_project(dim, radius_range[0], [])
     for i in top:
         p0 = np.concatenate([xs[i], ys[i]])
         val, p, used = ref_compass(
@@ -223,7 +274,8 @@ def ref_refine(spec, budget, seed, tag, scalar_fn):
         if val > best_val:
             best_val = val
             best_pair = (p[:dim].copy(), p[dim:].copy())
-    return best_val, best_pair, budget + evals
+    starts = np.concatenate([xs[top], ys[top]], axis=1)
+    return best_val, best_pair, budget + evals, skipped, starts
 
 
 def dw_scalar(spec):
@@ -233,7 +285,7 @@ def dw_scalar(spec):
             return -math.inf
         d = norm_eval(spec, x - y)
         s = nx + ny
-        if d < DEFAULT_TOL.dw_separation_rel * s:
+        if d < det._DW_SEPARATION_REL * s:
             return -math.inf
         return norm_eval(spec, x / nx - y / ny) * s / d
 
@@ -261,10 +313,37 @@ def test_side_check_refine_matches_scalar_reference(name, monkeypatch):
         (det.parallelogram_defect_search, 4, pg_scalar(spec)),
     ):
         res = search(spec, 200, 13)
-        val, (x, y), evals = ref_refine(spec, 200, 13, tag, scalar)
+        val, (x, y), evals, skipped, _ = ref_refine(spec, 200, 13, tag, scalar)
         assert res.value == val
         assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
-        assert res.evaluations == evals
+        assert (res.evaluations, res.skipped) == (evals, skipped)
+
+
+@pytest.mark.parametrize(
+    "radius_range", [(0.5, 4.0), (1e-14, 1.0)], ids=["default", "vanishing"]
+)
+def test_blocked_side_check_matches_unblocked_selection(radius_range, monkeypatch):
+    # 5 blocks of at most 7 pairs, so the running top 8 merges across blocks
+    monkeypatch.setattr(det, "_SIDE_BUDGET", SIDE_BUDGET)
+    monkeypatch.setattr(det, "_REFINE_BLOCK", 7)
+    starts = []
+    engine = det._compass_search
+
+    def spy(fn, p0, *args):
+        starts.append(p0.copy())
+        return engine(fn, p0, *args)
+
+    monkeypatch.setattr(det, "_compass_search", spy)
+    spec = SPECS["l3"]
+    res = det.dw_constant_estimate(spec, 30, 13, radius_range=radius_range)
+    val, (x, y), evals, skipped, top = ref_refine(
+        spec, 30, 13, 3, dw_scalar(spec), block=7, radius_range=radius_range
+    )
+    assert len(starts) == 1 and np.array_equal(starts[0], top)
+    assert res.value == val
+    assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
+    assert (res.evaluations, res.skipped) == (evals, skipped)
+    assert (skipped > 0) == (radius_range[0] < 1e-12)
 
 
 @pytest.mark.parametrize("objective", CONDITIONAL_IDS, ids=lambda o: o.value)
