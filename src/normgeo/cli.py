@@ -202,8 +202,9 @@ def _build_parser():
                 "--workers",
                 type=_int_at_least(1),
                 default=1,
-                help="threads for the sampled inequality blocks; searches run "
-                "on one thread (no output effect)",
+                help="inequalities: threads for the sample blocks; detect: "
+                "forked processes for its five searches, at most 5, where the "
+                "platform can fork (no output effect)",
             )
         p.add_argument("--out", help="also write the report here (atomic)")
 

@@ -23,6 +23,7 @@ from .inequalities import (
     InequalityId,
     Witness,
     _batch_lhs_rhs,
+    _check_count,
     _norm_rows,
 )
 from .norms import DEFAULT_RADIUS_RANGE, sample_points, stream
@@ -270,6 +271,11 @@ def _search_restarts(spec, objective, config):
     return best, p, signs, evals
 
 
+def _check_dim(spec, config):
+    if config.dim != spec.dim:
+        raise NormGeoError(f"config dim {config.dim} != norm dim {spec.dim}")
+
+
 def violation_search(spec, objective, config):
     """Multi-start pattern search for a negative-slack witness.
 
@@ -282,8 +288,7 @@ def violation_search(spec, objective, config):
     objective = InequalityId(objective)
     if objective not in CONDITIONAL_IDS:
         raise NormGeoError(f"{objective.value} is universal; nothing to search")
-    if config.dim != spec.dim:
-        raise NormGeoError(f"config dim {config.dim} != norm dim {spec.dim}")
+    _check_dim(spec, config)
     vals, points, signs, evals = _search_restarts(spec, objective, config)
     r_best = int(np.argmax(vals))
     val = float(vals[r_best])
@@ -457,6 +462,43 @@ class DetectionVerdict:
         }
 
 
+# The five parts of a detect, longest first: the order a pool starts them in.
+_PARTS = (
+    InequalityId.LORCH,
+    "dw",
+    "parallelogram",
+    InequalityId.ALPHA_BETA,
+    InequalityId.N_ORDERING,
+)
+
+
+def _run_part(part, spec, config, side_budget):
+    """One of the _PARTS: a violation search or a side check. It lives at
+    module level so that a pool pickles only its arguments."""
+    if part == "parallelogram":
+        return parallelogram_defect_search(
+            spec, side_budget, config.seed, radius_range=config.radius_range
+        )
+    if part == "dw":
+        return dw_constant_estimate(
+            spec, side_budget, config.seed, radius_range=config.radius_range
+        )
+    return violation_search(spec, part, config)
+
+
+def _fork_context(workers):
+    """The fork start method's context when workers > 1 and the platform
+    has it; None otherwise, without importing multiprocessing for one
+    worker."""
+    if workers == 1:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     """Searches all three conditional inequalities and renders a verdict.
 
@@ -464,21 +506,33 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     are machine-checkable via evaluate_inequality. CONSISTENT claims only
     that the search found nothing. If the independent parallelogram probe
     finds a defect above 1e-6 while the verdict stays CONSISTENT, the
-    verdict is flagged as discrepant (search insufficiency). `workers` is
-    accepted for interface stability and has no effect: the searches run
-    on one thread.
+    verdict is flagged as discrepant (search insufficiency).
+
+    The three searches and the two side checks share no state. With
+    workers >= 2 on a platform that can fork, they run on a pool of
+    min(workers, 5) forked processes, longest first; otherwise they run
+    one after another in this process. Each part returns the same bits
+    either way, so the report does not depend on workers. Arguments are
+    checked before any process starts.
     """
-    del workers
+    _check_count("workers", workers)
+    _check_count("side_budget", side_budget)
+    _check_dim(spec, config)
     t0 = time.perf_counter()
-    per = {}
-    for objective in CONDITIONAL_IDS:
-        per[objective] = violation_search(spec, objective, config)
-    pg = parallelogram_defect_search(
-        spec, side_budget, config.seed, radius_range=config.radius_range
-    )
-    dw = dw_constant_estimate(
-        spec, side_budget, config.seed, radius_range=config.radius_range
-    )
+    args = (spec, config, side_budget)
+    context = _fork_context(workers)
+    if context is None:
+        done = {part: _run_part(part, *args) for part in _PARTS}
+    else:
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(_PARTS)), mp_context=context
+        ) as pool:
+            futures = [pool.submit(_run_part, part, *args) for part in _PARTS]
+            done = {part: f.result() for part, f in zip(_PARTS, futures)}
+    per = {objective: done[objective] for objective in CONDITIONAL_IDS}
+    pg = done["parallelogram"]
     violated = any(r.best_violation > _VIOLATION_THRESHOLD for r in per.values())
     verdict = VIOLATED if violated else CONSISTENT
     flagged = (not violated) and pg.value > _PG_DISCREPANCY
@@ -486,7 +540,7 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
         verdict=verdict,
         per_objective=per,
         parallelogram=pg,
-        dw_estimate=dw,
+        dw_estimate=done["dw"],
         discrepancy_flagged=flagged,
         config=config,
         wall_time_s=time.perf_counter() - t0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -241,6 +242,11 @@ def _batch_block(iq, spec, seed, block_index, start, count):
     )
 
 
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise NormGeoError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def batch_min_slack(iq, spec, trials, seed, workers=1):
     """Sample trials random pairs and return the report with minimal slack.
 
@@ -251,6 +257,7 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     +-[1/8, 8].
     """
     iq = InequalityId(iq)
+    _check_count("workers", workers)
     if trials < 1:
         raise NormGeoError("trials must be >= 1")
     blocks = []

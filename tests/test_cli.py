@@ -244,12 +244,13 @@ def test_detect_workers_only_change_wall_time(specs, capsys):
         "300",
     ]
     _, a, _ = run(capsys, *argv, "--workers", "1")
-    _, b, _ = run(capsys, *argv, "--workers", "4")
     pa = json.loads(a)
-    pb = json.loads(b)
     pa.pop("wall_time_s")
-    pb.pop("wall_time_s")
-    assert pa == pb
+    for workers in ("4", "2", "7"):
+        _, b, _ = run(capsys, *argv, "--workers", workers)
+        pb = json.loads(b)
+        pb.pop("wall_time_s")
+        assert pa == pb, workers
 
 
 def test_dw_constant(specs, capsys, tmp_path):

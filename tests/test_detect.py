@@ -1,4 +1,10 @@
+import concurrent.futures.process
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -155,10 +161,127 @@ def test_detect_euclidean_is_consistent():
 def test_detect_determinism_across_workers():
     cfg = SearchConfig(dim=2, seed=17, restarts=8, iters_per_restart=400)
     a = detect_inner_product(L1, cfg, workers=1, side_budget=300).to_dict()
-    b = detect_inner_product(L1, cfg, workers=4, side_budget=300).to_dict()
     a.pop("wall_time_s")
-    b.pop("wall_time_s")
-    assert a == b
+    for workers in (4, 2, 7):
+        b = detect_inner_product(L1, cfg, workers=workers, side_budget=300).to_dict()
+        b.pop("wall_time_s")
+        assert a == b, workers
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    task in this process."""
+
+    def __init__(self, built):
+        self.built = built
+
+    def __call__(self, max_workers, mp_context=None):
+        self.built.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The max_workers of every process pool built during the test."""
+    out = []
+    monkeypatch.setattr(
+        concurrent.futures.process, "ProcessPoolExecutor", RecordingPool(out)
+    )
+    return out
+
+
+TINY = SearchConfig(dim=2, seed=3, restarts=2, iters_per_restart=40)
+
+
+def _report(verdict):
+    d = verdict.to_dict()
+    d.pop("wall_time_s")
+    return d
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (dict(spec=ng.lp_norm(1, 3)), "dim"),
+        (dict(config=SearchConfig(dim=3, seed=1)), "dim"),
+        (dict(side_budget=0), "side_budget"),
+        (dict(side_budget=-3), "side_budget"),
+        (dict(side_budget=2.5), "side_budget"),
+    ],
+    ids=["spec-dim", "config-dim", "zero-side-budget", "negative-side-budget",
+         "fractional-side-budget"],
+)
+def test_detect_rejects_bad_arguments_before_any_process(workers, call, match, built):
+    kwargs = {**dict(spec=L1, config=TINY, side_budget=30), **call}
+    with pytest.raises(ng.NormGeoError, match=match):
+        detect_inner_product(workers=workers, **kwargs)
+    assert built == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.0, "2", None, True])
+def test_bad_workers_are_rejected_before_any_process(workers, built):
+    with pytest.raises(ng.NormGeoError, match="workers"):
+        detect_inner_product(L1, TINY, workers=workers, side_budget=30)
+    with pytest.raises(ng.NormGeoError, match="workers"):
+        ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, 100, 1, workers=workers)
+    assert built == []
+
+
+def test_pool_is_capped_at_the_five_parts(built):
+    serial = _report(detect_inner_product(L1, TINY, side_budget=30))
+    assert built == []
+    for workers in (10**6, 3):
+        pooled = detect_inner_product(L1, TINY, workers=workers, side_budget=30)
+        assert _report(pooled) == serial
+    assert built == [5, 3]
+
+
+def test_platform_without_fork_runs_in_process(monkeypatch, built):
+    serial = _report(detect_inner_product(L1, TINY, side_budget=30))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _report(detect_inner_product(L1, TINY, workers=2, side_budget=30)) == serial
+    assert built == []
+
+
+_AFTER_THREADS = """
+import json, sys
+import normgeo as ng
+spec = ng.lp_norm(1, 2)
+ng.batch_min_slack(ng.InequalityId.ALPHA_BETA, spec, 40000, 5, workers=3)
+cfg = ng.SearchConfig(dim=2, seed=17, restarts=4, iters_per_restart=200)
+verdict = ng.detect_inner_product(spec, cfg, workers=2, side_budget=200)
+json.dump(verdict.to_dict(), sys.stdout)
+"""
+
+
+def test_forked_detect_after_a_thread_pool_does_not_hang():
+    # A fork taken while some lock is held would leave the children blocked
+    # on it; the timeout turns such a hang into a failure.
+    src = os.path.dirname(os.path.dirname(ng.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AFTER_THREADS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    forked = json.loads(proc.stdout)
+    forked.pop("wall_time_s")
+    cfg = SearchConfig(dim=2, seed=17, restarts=4, iters_per_restart=200)
+    serial = _report(detect_inner_product(L1, cfg, workers=1, side_budget=200))
+    assert forked == json.loads(json.dumps(serial))
 
 
 def test_verdict_dict_shape():
