@@ -220,7 +220,7 @@ def _build_parser():
     p.add_argument("--y", required=True)
     p.add_argument("--t-min", type=float, default=0.0, dest="t_min")
     p.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=int, default=101, help="grid points, 2 to 8192")
     p.set_defaults(fn=_cmd_curve)
 
     p = sub.add_parser("inequalities", help="minimum sampled slack per universal inequality")
@@ -230,7 +230,9 @@ def _build_parser():
 
     p = sub.add_parser("detect", help="search for inner-product violations")
     common(p, dim=True, workers=True)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument(
+        "--restarts", type=int, default=64, help="restarts per objective, 1 to 8192"
+    )
     p.add_argument("--iters", type=int, default=2000)
     p.set_defaults(fn=_cmd_detect)
 

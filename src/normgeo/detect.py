@@ -23,10 +23,9 @@ from .inequalities import (
     InequalityId,
     Witness,
     _batch_lhs_rhs,
-    _check_count,
     _norm_rows,
 )
-from .norms import DEFAULT_RADIUS_RANGE, sample_points, stream
+from .norms import _RADIUS_RANGE, _check_count, sample_points, stream
 
 # perfbench/tracer.py substitutes detect.norm_eval, so the name stays
 # importable although nothing here calls it.
@@ -51,6 +50,8 @@ _DW_SEPARATION_REL = 1e-8
 # A pair counts only if both norms exceed this: dividing by a smaller norm
 # can overflow, so ALPHA_BETA, LORCH and the DW estimate skip such pairs.
 _NORM_FLOOR = 1e-12
+# Most restarts one search runs: its starts and engine state grow with them.
+_MAX_RESTARTS = 8192
 # The coordinate after x and y: t for N_ORDERING, log|gamma| for LORCH.
 _LAST_COORD_BAND = {
     InequalityId.N_ORDERING: (0.0, 1.0),
@@ -64,11 +65,11 @@ class SearchConfig:
     seed: int
     restarts: int = 64
     iters_per_restart: int = 2000
-    radius_range: tuple = DEFAULT_RADIUS_RANGE
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iters_per_restart < 1:
-            raise NormGeoError("restarts and iters_per_restart must be >= 1")
+        _check_count("seed", self.seed, 0)
+        _check_count("restarts", self.restarts, highest=_MAX_RESTARTS)
+        _check_count("iters_per_restart", self.iters_per_restart)
 
     def to_dict(self):
         return {
@@ -76,7 +77,6 @@ class SearchConfig:
             "seed": self.seed,
             "restarts": self.restarts,
             "iters_per_restart": self.iters_per_restart,
-            "radius_range": [float(self.radius_range[0]), float(self.radius_range[1])],
         }
 
 
@@ -222,9 +222,11 @@ def _score_points(spec, objective, d, q):
     return out
 
 
-def _make_project(d, r_lo):
+def _make_project(d):
     """Push each x and y block of a parameter stack out to Euclidean length
-    r_lo; a zero block becomes (r_lo, 0, ...)."""
+    0.5, the lower end of the sampling radius; a zero block becomes
+    (0.5, 0, ...)."""
+    r_lo = _RADIUS_RANGE[0]
 
     def project(q):
         blocks = q[:, : 2 * d].reshape(len(q), 2, d)
@@ -254,7 +256,7 @@ def _search_restarts(spec, objective, config):
     signs = np.ones(config.restarts)
     for r in range(config.restarts):
         rng = stream(config.seed, _SEARCH_STREAM, obj_index, r)
-        start = list(sample_points(d, rng, 2, config.radius_range))
+        start = list(sample_points(d, rng, 2))
         if objective is InequalityId.LORCH:
             signs[r] = -1.0 if rng.random() < 0.5 else 1.0
         if band:
@@ -266,7 +268,7 @@ def _search_restarts(spec, objective, config):
         config.iters_per_restart,
         lo,
         hi,
-        _make_project(d, config.radius_range[0]),
+        _make_project(d),
     )
     return best, p, signs, evals
 
@@ -335,7 +337,7 @@ class RefinedMaxResult:
         }
 
 
-def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
+def _refine_pairs(spec, budget, seed, tag, batch_fn):
     """Sample `budget` pairs, score them with batch_fn, refine the best few
     with the same compass search the violation searches use.
 
@@ -345,16 +347,16 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
     the earliest pair.
     """
     dim = spec.dim
-    if budget < 1:
-        raise NormGeoError("budget must be >= 1")
+    _check_count("budget", budget)
+    _check_count("seed", seed, 0)
     top_s = np.empty(0)
     top_x = top_y = np.empty((0, dim))
     skipped = 0
     for b, start in enumerate(range(0, budget, _REFINE_BLOCK)):
         rng = stream(seed, tag, b)
         count = min(_REFINE_BLOCK, budget - start)
-        xs = sample_points(dim, rng, count, radius_range)
-        ys = sample_points(dim, rng, count, radius_range)
+        xs = sample_points(dim, rng, count)
+        ys = sample_points(dim, rng, count)
         if b == 0:
             first = (xs[0], ys[0])
         scores = batch_fn(xs, ys)
@@ -376,7 +378,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
         _SIDE_BUDGET,
         np.full(2 * dim, -math.inf),
         np.full(2 * dim, math.inf),
-        _make_project(dim, radius_range[0]),
+        _make_project(dim),
     )
     for val, p in zip(vals, points):
         if val > best_val:
@@ -385,7 +387,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn, radius_range):
     return best_val, best_pair, budget + int(evals.sum()), skipped
 
 
-def dw_constant_estimate(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
+def dw_constant_estimate(spec, budget, seed):
     """Lower-bound estimate of the best c in alpha <= c*||x-y||/(||x||+||y||).
 
     Maximizes c(x,y) = alpha * (||x||+||y||) / ||x-y|| over sampled and
@@ -406,14 +408,14 @@ def dw_constant_estimate(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
         return np.where(ok, alpha * s / d, -math.inf)
 
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, budget, seed, _DW_STREAM, batch_fn, radius_range
+        spec, budget, seed, _DW_STREAM, batch_fn
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
     )
 
 
-def parallelogram_defect_search(spec, budget, seed, radius_range=DEFAULT_RADIUS_RANGE):
+def parallelogram_defect_search(spec, budget, seed):
     """Largest relative parallelogram-law defect found by sampling + refining.
 
     defect = |n(x+y)^2 + n(x-y)^2 - 2n(x)^2 - 2n(y)^2| / (n(x)^2 + n(y)^2).
@@ -431,7 +433,7 @@ def parallelogram_defect_search(spec, budget, seed, radius_range=DEFAULT_RADIUS_
         return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
 
     val, (x, y), evals, skipped = _refine_pairs(
-        spec, budget, seed, _PG_STREAM, batch_fn, radius_range
+        spec, budget, seed, _PG_STREAM, batch_fn
     )
     return RefinedMaxResult(
         value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
@@ -476,13 +478,9 @@ def _run_part(part, spec, config, side_budget):
     """One of the _PARTS: a violation search or a side check. It lives at
     module level so that a pool pickles only its arguments."""
     if part == "parallelogram":
-        return parallelogram_defect_search(
-            spec, side_budget, config.seed, radius_range=config.radius_range
-        )
+        return parallelogram_defect_search(spec, side_budget, config.seed)
     if part == "dw":
-        return dw_constant_estimate(
-            spec, side_budget, config.seed, radius_range=config.radius_range
-        )
+        return dw_constant_estimate(spec, side_budget, config.seed)
     return violation_search(spec, part, config)
 
 

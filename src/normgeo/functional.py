@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DerivativeConvergenceError, NormGeoError
-from .norms import NormSpec, _vector_pair, norm_eval, quadratic_norm
+from .norms import NormSpec, _check_count, _vector_pair, norm_eval, quadratic_norm
 
 LEFT = "left"
 RIGHT = "right"
@@ -22,6 +22,8 @@ RIGHT = "right"
 _DERIVATIVE_AGREE_REL = 1e-7
 _DERIVATIVE_STEP_FLOOR = 1e-10
 _ORDER_TIE_REL = 1e-12
+# Most grid points of one curve: it holds two steps x dim stacks.
+_MAX_STEPS = 8192
 
 
 def n_eval(spec, x, y, t):
@@ -40,15 +42,15 @@ class CurveSample:
 
 
 def n_curve(spec, x, y, t_min, t_max, steps):
-    """Sample ||x + t*y|| and ||y + t*x|| on a uniform inclusive grid.
+    """Sample ||x + t*y|| and ||y + t*x|| on a uniform inclusive grid of
+    2 to 8192 steps.
 
     Returns a list of (CurveSample, CurveSample) pairs sharing the same t.
     """
     t_min, t_max = float(t_min), float(t_max)
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
         raise NormGeoError(f"need t_min < t_max, got [{t_min}, {t_max}]")
-    if steps < 2:
-        raise NormGeoError(f"need at least 2 grid points, got {steps}")
+    _check_count("steps", steps, 2, _MAX_STEPS)
     x, y = _vector_pair(spec, x, y)
     ts = np.linspace(t_min, t_max, steps)
     n_xy = norm_eval(spec, x[None, :] + ts[:, None] * y[None, :])

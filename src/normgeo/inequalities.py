@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import NormGeoError, ZeroVectorError
 from .norms import (
-    DEFAULT_RADIUS_RANGE,
+    _check_count,
     _norm_rows,
     _vector_pair,
     norm_eval,
@@ -216,8 +215,8 @@ class BatchResult:
 
 def _batch_block(iq, spec, seed, block_index, start, count):
     rng = stream(seed, _BATCH_STREAM, block_index)
-    xs = sample_points(spec.dim, rng, count, DEFAULT_RADIUS_RANGE)
-    ys = sample_points(spec.dim, rng, count, DEFAULT_RADIUS_RANGE)
+    xs = sample_points(spec.dim, rng, count)
+    ys = sample_points(spec.dim, rng, count)
     ts = gammas = None
     if iq is InequalityId.N_ORDERING:
         ts = rng.uniform(0.0, 1.0, count)
@@ -231,20 +230,16 @@ def _batch_block(iq, spec, seed, block_index, start, count):
     slack = rhs - lhs
     normalized = slack / (1.0 + np.abs(lhs) + np.abs(rhs))
     i = int(np.argmin(slack))
+    # copies: a view would keep the block's whole xs and ys stacks alive
     return (
         float(slack[i]),
         start + i,
-        xs[i],
-        ys[i],
+        xs[i].copy(),
+        ys[i].copy(),
         None if ts is None else float(ts[i]),
         None if gammas is None else float(gammas[i]),
         float(normalized.min()),
     )
-
-
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise NormGeoError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def batch_min_slack(iq, spec, trials, seed, workers=1):
@@ -254,38 +249,35 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     stream, so the result is byte-identical for any worker count. Ties go to
     the earliest trial. LORCH pairs are made equal-norm by rescaling the
     second sample; t is uniform on [0,1] and gamma log-uniform on
-    +-[1/8, 8].
+    +-[1/8, 8]. Each block is folded into a running best as it returns,
+    so memory does not grow with trials.
     """
     iq = InequalityId(iq)
     _check_count("workers", workers)
-    if trials < 1:
-        raise NormGeoError("trials must be >= 1")
-    blocks = []
-    start = 0
-    b = 0
-    while start < trials:
-        count = min(_BATCH_BLOCK, trials - start)
-        blocks.append((b, start, count))
-        start += count
-        b += 1
+    _check_count("trials", trials)
+    _check_count("seed", seed, 0)
 
-    def run(block):
-        b, start, count = block
+    def run(b):
+        start = b * _BATCH_BLOCK
+        count = min(_BATCH_BLOCK, trials - start)
         return _batch_block(iq, spec, seed, b, start, count)
 
+    def fold(results):
+        # blocks arrive in order, so a strict < keeps the earliest of a tie
+        best = None
+        min_norm_slack = math.inf
+        for res in results:
+            min_norm_slack = min(min_norm_slack, res[-1])
+            if best is None or res[0] < best[0]:
+                best = res
+        return best, min_norm_slack
+
+    blocks = range(-(-trials // _BATCH_BLOCK))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+            best, min_norm_slack = fold(pool.map(run, blocks))
     else:
-        results = [run(block) for block in blocks]
-
-    best = None
-    min_norm_slack = math.inf
-    for res in results:
-        slack, index, x, y, t, gamma, block_norm = res
-        min_norm_slack = min(min_norm_slack, block_norm)
-        if best is None or slack < best[0] or (slack == best[0] and index < best[1]):
-            best = res
+        best, min_norm_slack = fold(map(run, blocks))
     _, index, x, y, t, gamma, _ = best
     report = evaluate_inequality(iq, spec, x, y, t=t, gamma=gamma)
     return BatchResult(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,9 @@ LP = "lp"
 WEIGHTED_LP = "weighted_lp"
 QUADRATIC = "quadratic"
 
-DEFAULT_RADIUS_RANGE = (0.5, 4.0)
+# Euclidean magnitudes of sampled points. Every quantity the package scores
+# is positively homogeneous in (x, y), so the scale carries no information.
+_RADIUS_RANGE = (0.5, 4.0)
 
 _AXIOM_STREAM = 0
 _AXIOM_TOL = 1e-9
@@ -230,20 +233,31 @@ def _vector_pair(spec, x, y):
     return pair
 
 
+def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
+    """Require an integer (not a bool) in [lowest, highest]; raise `error`
+    otherwise. The check every library count and seed goes through."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < lowest
+        or (highest is not None and value > highest)
+    ):
+        bound = f">= {lowest}" if highest is None else f"in [{lowest}, {highest}]"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def stream(seed, *key):
     """Deterministic child generator for (seed, key...). Worker-count free."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def sample_points(dim, rng, count, radius_range=DEFAULT_RADIUS_RANGE):
+def sample_points(dim, rng, count):
     """Isotropic directions with log-uniform Euclidean magnitudes.
 
     Directions come from normalized standard normals; magnitudes are
-    log-uniform in [r_lo, r_hi]. Never returns a zero vector.
+    log-uniform in [0.5, 4]. Never returns a zero vector.
     """
-    r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
-    if not (0.0 < r_lo <= r_hi) or not math.isfinite(r_hi):
-        raise NormSpecError(f"bad radius range {radius_range!r}")
+    r_lo, r_hi = _RADIUS_RANGE
     dirs = rng.standard_normal((count, dim))
     norms = np.sqrt((dirs * dirs).sum(axis=1))
     while True:
@@ -256,8 +270,8 @@ def sample_points(dim, rng, count, radius_range=DEFAULT_RADIUS_RANGE):
     return dirs * (radii / norms)[:, None]
 
 
-def sample_pair(dim, rng, radius_range=DEFAULT_RADIUS_RANGE):
-    pts = sample_points(dim, rng, 2, radius_range)
+def sample_pair(dim, rng):
+    pts = sample_points(dim, rng, 2)
     return pts[0], pts[1]
 
 
@@ -289,8 +303,8 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     nonzero samples; both defects must stay within tol (default 1e-9),
     which must be finite and >= 0. Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise NormSpecError("trials must be >= 1")
+    _check_count("trials", trials, error=NormSpecError)
+    _check_count("seed", seed, 0)
     tol = _AXIOM_TOL if tol is None else float(tol)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise NormGeoError(f"tol must be finite and >= 0, got {tol}")

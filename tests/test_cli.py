@@ -323,6 +323,24 @@ def test_bad_search_config_is_input_error(specs, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--seed", "1", "--restarts", "200000000"],
+        ["curve", "--x", "1,0", "--y", "0,1", "--steps", "2000000000"],
+    ],
+    ids=["restarts", "steps"],
+)
+def test_flags_above_their_memory_caps_are_input_errors(argv, specs, capsys):
+    # both flags allocate in proportion to their value, so they are capped
+    # at 8192; values this far above the cap are refused before any work
+    rc, out, err = run(capsys, argv[0], "--norm", specs["l1"], *argv[1:])
+    assert rc == 1
+    assert out == ""
+    _single_error_line(err)
+    assert "8192" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

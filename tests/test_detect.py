@@ -72,9 +72,19 @@ def test_search_validation():
         violation_search(L1, InequalityId.MASSERA_SCHAFFER, SMALL)
     with pytest.raises(ng.NormGeoError, match="dim"):
         violation_search(ng.lp_norm(1, 3), InequalityId.LORCH, SMALL)
-    for bad in (dict(restarts=0), dict(iters_per_restart=0)):
-        with pytest.raises(ng.NormGeoError):
-            SearchConfig(dim=2, seed=1, **bad)
+    for bad, name in (
+        (dict(restarts=0), "restarts"),
+        (dict(restarts=2.5), "restarts"),
+        (dict(restarts=True), "restarts"),
+        (dict(restarts=8193), "restarts"),
+        (dict(iters_per_restart=0), "iters_per_restart"),
+        (dict(iters_per_restart=1.5), "iters_per_restart"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2.5), "seed"),
+    ):
+        with pytest.raises(ng.NormGeoError, match=name):
+            SearchConfig(**{"dim": 2, "seed": 1, **bad})
+    SearchConfig(dim=2, seed=0, restarts=np.int64(8192), iters_per_restart=np.int32(1))
 
 
 def test_lorch_witness_is_equal_norm():
@@ -124,18 +134,22 @@ def test_parallelogram_l1_defect_is_large():
 
 
 def test_dw_constant_skips_pairs_with_vanishing_norms():
-    # radii down to 1e-200 square to zero in l_2, so these pairs have a zero
-    # ||x|| or ||y|| and must be skipped, never divided through
+    # l_2 scaled by 1e-20: every sampled ||x|| and ||y|| lies far below the
+    # 1e-12 floor, so every pair must be skipped, never divided through
+    spec = ng.weighted_lp_norm(2, [1e-40] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = dw_constant_estimate(L2, budget=200, seed=5, radius_range=(1e-200, 1.0))
+        res = dw_constant_estimate(spec, budget=200, seed=5)
     assert res.skipped == 200
     assert res.value == -math.inf
 
 
 def test_side_check_validation():
-    with pytest.raises(ng.NormGeoError, match="budget"):
-        dw_constant_estimate(L1, budget=0, seed=1)
+    for search in (dw_constant_estimate, parallelogram_defect_search):
+        for budget, seed, name in ((0, 1, "budget"), (2.5, 1, "budget"),
+                                   (True, 1, "budget"), (10, -1, "seed"), (10, 1.5, "seed")):
+            with pytest.raises(ng.NormGeoError, match=name):
+                search(L1, budget=budget, seed=seed)
 
 
 def test_detect_l1_is_violated():

@@ -60,8 +60,10 @@ def test_n_curve_minimal_grid():
 def test_n_curve_rejects_degenerate_grid():
     with pytest.raises(ng.NormGeoError):
         ng.n_curve(L1, X, Y, 0.0, 0.0, 11)
-    with pytest.raises(ng.NormGeoError):
-        ng.n_curve(L1, X, Y, 0.0, 1.0, 1)
+    for steps in (1, 2.5, True, 8193):
+        with pytest.raises(ng.NormGeoError, match="steps"):
+            ng.n_curve(L1, X, Y, 0.0, 1.0, steps)
+    assert len(ng.n_curve(L1, X, Y, 0.0, 1.0, 8192)) == 8192
 
 
 def test_write_curve_csv_format():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,8 +273,30 @@ def test_batch_determinism_and_worker_independence():
 
 
 def test_batch_input_validation():
-    with pytest.raises(ng.NormGeoError, match="trials"):
-        ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, trials=0, seed=1)
+    for trials, seed, name in ((0, 1, "trials"), (2.5, 1, "trials"), (True, 1, "trials"),
+                               (100, -1, "seed"), (100, 1.5, "seed")):
+        with pytest.raises(ng.NormGeoError, match=name):
+            ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_memory_does_not_grow_with_trials(workers):
+    # A block's pair stacks are 8 MiB at d64. A call holds at most `workers`
+    # blocks at a time, so its traced peak must not grow with the number of
+    # blocks: 16 blocks stay within 1.25x of `workers` serial 2-block calls.
+    spec = ng.lp_norm(2, 64)
+
+    def peak(blocks, workers):
+        tracemalloc.start()
+        try:
+            ng.batch_min_slack(
+                InequalityId.MALIGRANDA_UPPER, spec, blocks * 8192, 3, workers=workers
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16, workers) <= 1.25 * workers * peak(2, 1)
 
 
 def test_batch_accepts_string_id():

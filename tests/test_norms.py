@@ -161,12 +161,22 @@ def test_axiom_report_is_deterministic():
     assert a == b
 
 
+def test_axiom_check_rejects_bad_counts_and_seeds():
+    spec = ng.lp_norm(3, 2)
+    for trials in (0, 2.5, True):
+        with pytest.raises(ng.NormSpecError, match="trials"):
+            ng.validate_norm_axioms(spec, trials=trials, seed=1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ng.NormGeoError, match="seed"):
+            ng.validate_norm_axioms(spec, trials=10, seed=seed)
+
+
 def test_sample_pair_deterministic_and_in_range():
     x1, y1 = ng.sample_pair(2, stream(17, 0))
     x2, y2 = ng.sample_pair(2, stream(17, 0))
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     rng = stream(18, 0)
-    pts = sample_points(3, rng, 5000, radius_range=(0.5, 4.0))
+    pts = sample_points(3, rng, 5000)
     mags = np.sqrt((pts * pts).sum(axis=1))
     assert mags.min() >= 0.5 and mags.max() <= 4.0
 

@@ -25,6 +25,7 @@ SPECS = {
     "gram4": ng.quadratic_norm(random_spd(4, 77)),
 }
 SIDE_BUDGET = 300
+R_LO = 0.5  # lower end of the sampling radius: the projection's floor
 
 
 def ref_compass(fn, p0, step_init, shrink, max_evals, lo, hi, project, skips=None):
@@ -115,7 +116,7 @@ def ref_objective(spec, objective, d, sign):
 def ref_restart(spec, objective, config, r, fired, skips=None):
     d = config.dim
     rng = stream(config.seed, 2, CONDITIONAL_IDS.index(objective), r)
-    pts = sample_points(d, rng, 2, config.radius_range)
+    pts = sample_points(d, rng, 2)
     sign = 1.0
     lo = np.full(2 * d, -math.inf)
     hi = np.full(2 * d, math.inf)
@@ -137,7 +138,7 @@ def ref_restart(spec, objective, config, r, fired, skips=None):
         config.iters_per_restart,
         lo,
         hi,
-        ref_project(d, config.radius_range[0], fired),
+        ref_project(d, R_LO, fired),
         skips,
     )
 
@@ -146,10 +147,7 @@ def ref_restart(spec, objective, config, r, fired, skips=None):
 @pytest.mark.parametrize("objective", CONDITIONAL_IDS, ids=lambda o: o.value)
 def test_restarts_match_scalar_reference(name, objective):
     spec = SPECS[name]
-    # a narrow radius band makes the projection fire on many trajectories
-    config = ng.SearchConfig(
-        dim=spec.dim, seed=31, restarts=6, iters_per_restart=250, radius_range=(1.0, 1.5)
-    )
+    config = ng.SearchConfig(dim=spec.dim, seed=31, restarts=6, iters_per_restart=250)
     vals, points, _, evals = det._search_restarts(spec, objective, config)
     fired = []
     refs = [ref_restart(spec, objective, config, r, fired) for r in range(config.restarts)]
@@ -180,7 +178,7 @@ def ref_witness(spec, objective, config, r, p):
     if objective is InequalityId.ALPHA_BETA:
         return x, y, None, None
     rng = stream(config.seed, 2, CONDITIONAL_IDS.index(objective), r)
-    sample_points(d, rng, 2, config.radius_range)
+    sample_points(d, rng, 2)
     sign = -1.0 if rng.random() < 0.5 else 1.0
     nx, ny = norm_eval(spec, x), norm_eval(spec, y)
     if nx > 1e-12 and ny > 1e-12:
@@ -188,25 +186,28 @@ def ref_witness(spec, objective, config, r, p):
     return x, y, None, sign * math.exp(p[-1])
 
 
-@pytest.mark.parametrize("name", ["l2", "gram4"])
+# l_2 and a gram norm scaled down by 1e-12, so the sampled starts' norms
+# (about 5e-13 to 4e-12 for l_2) lie on both sides of the 1e-12 floor. By
+# homogeneity this is what a search at a tiny Euclidean scale meets.
+VANISHING = {
+    "l2": ng.weighted_lp_norm(2, [1e-24] * 2),
+    "gram4": ng.quadratic_norm(1e-24 * random_spd(4, 77)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANISHING))
 @pytest.mark.parametrize("objective", [InequalityId.ALPHA_BETA, InequalityId.LORCH])
 def test_rows_with_vanishing_norms_match_scalar_reference(objective, name):
-    # Starts this small square to zero in l_2 and in a gram norm, so their
-    # norms are 0 and both objectives score them -inf until a step lifts
-    # them off. Rows whose norms are tiny but nonzero count as vanishing
-    # too: dividing x by such a norm overflows.
-    spec = ng.lp_norm(2, 2) if name == "l2" else SPECS[name]
-    config = ng.SearchConfig(
-        dim=spec.dim, seed=5, restarts=8, iters_per_restart=60, radius_range=(1e-200, 1.0)
-    )
+    # Both objectives score a row -inf while ||x|| or ||y|| is at most
+    # 1e-12, and count it once a step lifts both norms past the floor.
+    spec = VANISHING[name]
+    config = ng.SearchConfig(dim=spec.dim, seed=5, restarts=8, iters_per_restart=60)
     obj_index = CONDITIONAL_IDS.index(objective)
-    start_norms = [
-        norm_eval(
-            spec, sample_points(spec.dim, stream(5, 2, obj_index, r), 2, config.radius_range)
-        )
+    start_norms = np.concatenate([
+        norm_eval(spec, sample_points(spec.dim, stream(5, 2, obj_index, r), 2))
         for r in range(config.restarts)
-    ]
-    assert 0.0 in np.concatenate(start_norms)
+    ])
+    assert start_norms.min() <= 1e-12 < start_norms.max()
     vals, points, _, evals = det._search_restarts(spec, objective, config)
     for r in range(config.restarts):
         val, p, used = ref_restart(spec, objective, config, r, [])
@@ -215,12 +216,11 @@ def test_rows_with_vanishing_norms_match_scalar_reference(objective, name):
 
 @pytest.mark.parametrize("objective", [InequalityId.ALPHA_BETA, InequalityId.LORCH])
 def test_search_without_a_counted_point_reports_the_first_restart_raw(objective):
-    # A poll moves x or y, never both, so from starts this small no
-    # candidate ever has both norms above 1e-12: every restart ties at -inf.
-    spec = ng.lp_norm(2, 2)
-    config = ng.SearchConfig(
-        dim=2, seed=5, restarts=4, iters_per_restart=40, radius_range=(1e-200, 1e-100)
-    )
+    # Norms of about 1e-20 on the sampled starts: within 40 steps of at
+    # most 0.25 no candidate gets a norm above 1e-12, so every restart
+    # ties at -inf.
+    spec = ng.weighted_lp_norm(2, [1e-40] * 2)
+    config = ng.SearchConfig(dim=2, seed=5, restarts=4, iters_per_restart=40)
     res = det.violation_search(spec, objective, config)
     assert (res.best_violation, res.witness_slack) == (0.0, math.inf)
     _, points, _, _ = det._search_restarts(spec, objective, config)
@@ -231,19 +231,44 @@ def test_search_without_a_counted_point_reports_the_first_restart_raw(objective)
 
 
 def test_reference_exercises_projection_and_clamp_skips():
+    # The configuration of test_restarts_match_scalar_reference: LORCH
+    # pushes a block out to the floor on every norm, and N_ORDERING on
+    # l_1 polls past a t held at a bound.
+    for name, spec in SPECS.items():
+        config = ng.SearchConfig(dim=spec.dim, seed=31, restarts=6, iters_per_restart=250)
+        fired = []
+        for r in range(config.restarts):
+            ref_restart(spec, InequalityId.LORCH, config, r, fired)
+        assert fired, name
     spec = SPECS["l1"]
-    config = ng.SearchConfig(
-        dim=2, seed=31, restarts=6, iters_per_restart=250, radius_range=(1.0, 1.5)
-    )
-    fired, skips = [], []
+    config = ng.SearchConfig(dim=spec.dim, seed=31, restarts=6, iters_per_restart=250)
+    skips = []
     for r in range(config.restarts):
-        ref_restart(spec, InequalityId.N_ORDERING, config, r, fired, skips)
-    # the projection fires, and a t held at a bound is polled past
-    assert fired
+        ref_restart(spec, InequalityId.N_ORDERING, config, r, [], skips)
     assert 2 * spec.dim in skips
 
 
-def ref_refine(spec, budget, seed, tag, scalar_fn, block=None, radius_range=(0.5, 4.0)):
+def test_projection_lifts_zero_and_short_blocks_like_the_reference():
+    # A search from the sampled starts cannot drive a block to exactly 0,
+    # so the zero-block branch is checked on a stack built by hand.
+    d = 3
+    q = np.array([
+        [0.0, 0.0, 0.0, 0.1, -0.2, 0.05, 0.7],  # zero x, short y
+        [3.0, -1.0, 2.0, 0.0, 0.0, 0.0, -0.4],  # long x, zero y
+        [0.2, 0.1, -0.3, 1.5, 0.25, -2.0, 0.1],  # short x, long y
+    ])
+    got = det._make_project(d)(q.copy())
+    fired = []
+    want = np.array([ref_project(d, R_LO, fired)(row.copy()) for row in q])
+    assert len(fired) == 4
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[0, :3], [R_LO, 0.0, 0.0])
+    assert np.array_equal(got[1, 3:6], [R_LO, 0.0, 0.0])
+    assert np.array_equal(got[1, :3], q[1, :3]) and np.array_equal(got[2, 3:], q[2, 3:])
+    assert np.array_equal(got[:, -1], q[:, -1])
+
+
+def ref_refine(spec, budget, seed, tag, scalar_fn, block=None):
     """One unblocked selection over the per-block draws of the library:
     block b of `block` pairs comes from the (seed, tag, b) stream."""
     dim = spec.dim
@@ -252,8 +277,8 @@ def ref_refine(spec, budget, seed, tag, scalar_fn, block=None, radius_range=(0.5
     for b, start in enumerate(range(0, budget, block)):
         rng = stream(seed, tag, b)
         count = min(block, budget - start)
-        xs.append(sample_points(dim, rng, count, radius_range))
-        ys.append(sample_points(dim, rng, count, radius_range))
+        xs.append(sample_points(dim, rng, count))
+        ys.append(sample_points(dim, rng, count))
     xs, ys = np.concatenate(xs), np.concatenate(ys)
     scores = np.array([scalar_fn(x, y) for x, y in zip(xs, ys)])
     skipped = int(np.isneginf(scores).sum())
@@ -264,7 +289,7 @@ def ref_refine(spec, budget, seed, tag, scalar_fn, block=None, radius_range=(0.5
     evals = 0
     lo = np.full(2 * dim, -math.inf)
     hi = np.full(2 * dim, math.inf)
-    project = ref_project(dim, radius_range[0], [])
+    project = ref_project(dim, R_LO, [])
     for i in top:
         p0 = np.concatenate([xs[i], ys[i]])
         val, p, used = ref_compass(
@@ -320,9 +345,13 @@ def test_side_check_refine_matches_scalar_reference(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "radius_range", [(0.5, 4.0), (1e-14, 1.0)], ids=["default", "vanishing"]
+    "spec",
+    [SPECS["l3"], ng.weighted_lp_norm(3, [1e-36] * 2)],
+    ids=["default", "vanishing"],
 )
-def test_blocked_side_check_matches_unblocked_selection(radius_range, monkeypatch):
+def test_blocked_side_check_matches_unblocked_selection(spec, monkeypatch):
+    # the "vanishing" norm is l_3 scaled by 1e-12, so some pairs fall on
+    # or below the 1e-12 floor and are skipped
     # 5 blocks of at most 7 pairs, so the running top 8 merges across blocks
     monkeypatch.setattr(det, "_SIDE_BUDGET", SIDE_BUDGET)
     monkeypatch.setattr(det, "_REFINE_BLOCK", 7)
@@ -334,16 +363,13 @@ def test_blocked_side_check_matches_unblocked_selection(radius_range, monkeypatc
         return engine(fn, p0, *args)
 
     monkeypatch.setattr(det, "_compass_search", spy)
-    spec = SPECS["l3"]
-    res = det.dw_constant_estimate(spec, 30, 13, radius_range=radius_range)
-    val, (x, y), evals, skipped, top = ref_refine(
-        spec, 30, 13, 3, dw_scalar(spec), block=7, radius_range=radius_range
-    )
+    res = det.dw_constant_estimate(spec, 30, 13)
+    val, (x, y), evals, skipped, top = ref_refine(spec, 30, 13, 3, dw_scalar(spec), block=7)
     assert len(starts) == 1 and np.array_equal(starts[0], top)
     assert res.value == val
     assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
     assert (res.evaluations, res.skipped) == (evals, skipped)
-    assert (skipped > 0) == (radius_range[0] < 1e-12)
+    assert (skipped > 0) == (spec is not SPECS["l3"])
 
 
 @pytest.mark.parametrize("objective", CONDITIONAL_IDS, ids=lambda o: o.value)
@@ -356,8 +382,7 @@ def test_tiny_budgets_cut_the_stencil_like_the_scalar_reference(name, objective,
         monkeypatch.setattr(det, "_STENCIL_CELLS", cells)
         for budget in (1, 2, 3, 2 * n - 1, 2 * n + 1):
             config = ng.SearchConfig(
-                dim=spec.dim, seed=17, restarts=5, iters_per_restart=budget,
-                radius_range=(1.0, 1.5),
+                dim=spec.dim, seed=17, restarts=5, iters_per_restart=budget
             )
             vals, points, _, evals = det._search_restarts(spec, objective, config)
             for r in range(config.restarts):
