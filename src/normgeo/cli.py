@@ -52,20 +52,6 @@ def _parse_vector(text):
         raise NormGeoError(f"bad vector {text!r}: {exc}") from exc
 
 
-def _int_at_least(lowest):
-    """argparse type: an integer >= lowest."""
-
-    def parse(text):
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
-        return value
-
-    # argparse names the type in its "invalid <name> value" message
-    parse.__name__ = "integer"
-    return parse
-
-
 def _write_atomic(path, data):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".normgeo-")
@@ -192,15 +178,13 @@ def _build_parser():
     def common(p, seed=True, dim=False, workers=False):
         p.add_argument("--norm", required=True, help="path to a norm spec JSON file")
         if seed:
-            p.add_argument(
-                "--seed", type=_int_at_least(0), required=True, help="RNG seed (>= 0)"
-            )
+            p.add_argument("--seed", type=int, required=True, help="RNG seed (>= 0)")
         if dim:
             p.add_argument("--dim", type=int, help="expected dimension (validated)")
         if workers:
             p.add_argument(
                 "--workers",
-                type=_int_at_least(1),
+                type=int,
                 default=1,
                 help="inequalities: threads for the sample blocks; detect: "
                 "forked processes for its five searches, at most 5, where the "

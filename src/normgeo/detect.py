@@ -25,7 +25,7 @@ from .inequalities import (
     _batch_lhs_rhs,
     _norm_rows,
 )
-from .norms import _RADIUS_RANGE, _check_count, sample_points, stream
+from .norms import _BLOCK, _RADIUS_RANGE, _check_count, _Report, sample_points, stream
 
 # perfbench/tracer.py substitutes detect.norm_eval, so the name stays
 # importable although nothing here calls it.
@@ -41,7 +41,6 @@ _STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
 _REFINE_TOP = 8
-_REFINE_BLOCK = 1 << 13
 _SEARCH_STREAM = 2
 _DW_STREAM = 3
 _PG_STREAM = 4
@@ -60,7 +59,7 @@ _LAST_COORD_BAND = {
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Report):
     dim: int
     seed: int
     restarts: int = 64
@@ -71,33 +70,15 @@ class SearchConfig:
         _check_count("restarts", self.restarts, highest=_MAX_RESTARTS)
         _check_count("iters_per_restart", self.iters_per_restart)
 
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "iters_per_restart": self.iters_per_restart,
-        }
-
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Report):
     objective: InequalityId
     best_violation: float
     witness: Witness
     witness_slack: float
     evaluations: int
     seed: int
-
-    def to_dict(self):
-        return {
-            "objective": self.objective.value,
-            "best_violation": self.best_violation,
-            "witness": self.witness.to_dict(),
-            "witness_slack": self.witness_slack,
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-        }
 
 
 def _compass_search(fn, p0, max_evals, lo, hi, project):
@@ -314,7 +295,7 @@ def violation_search(spec, objective, config):
 
 
 @dataclass(frozen=True)
-class RefinedMaxResult:
+class RefinedMaxResult(_Report):
     """Outcome of a sampled-and-refined maximization over nonzero pairs."""
 
     value: float
@@ -325,23 +306,18 @@ class RefinedMaxResult:
     seed: int
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "witness": {
-                "x": [float(v) for v in self.x],
-                "y": [float(v) for v in self.y],
-            },
-            "evaluations": self.evaluations,
-            "skipped": self.skipped,
-            "seed": self.seed,
-        }
+        # x and y go under "witness", in the place of their fields
+        out = super().to_dict()
+        witness = {"x": out.pop("x"), "y": out.pop("y")}
+        return {"value": out.pop("value"), "witness": witness, **out}
 
 
 def _refine_pairs(spec, budget, seed, tag, batch_fn):
     """Sample `budget` pairs, score them with batch_fn, refine the best few
-    with the same compass search the violation searches use.
+    with the same compass search the violation searches use, and return
+    the best pair found as a RefinedMaxResult.
 
-    Pairs are drawn and scored in blocks of _REFINE_BLOCK, block b from
+    Pairs are drawn and scored in blocks of _BLOCK, block b from
     the (seed, tag, b) stream, so memory stays bounded for any budget. A
     running top _REFINE_TOP keeps the best finite scores, ties going to
     the earliest pair.
@@ -352,9 +328,9 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
     top_s = np.empty(0)
     top_x = top_y = np.empty((0, dim))
     skipped = 0
-    for b, start in enumerate(range(0, budget, _REFINE_BLOCK)):
+    for b, start in enumerate(range(0, budget, _BLOCK)):
         rng = stream(seed, tag, b)
-        count = min(_REFINE_BLOCK, budget - start)
+        count = min(_BLOCK, budget - start)
         xs = sample_points(dim, rng, count)
         ys = sample_points(dim, rng, count)
         if b == 0:
@@ -369,7 +345,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         order = order[np.isfinite(top_s[order])]
         top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]
     if not top_s.size:
-        return -math.inf, first, budget, skipped
+        return RefinedMaxResult(-math.inf, *first, budget, skipped, seed)
     best_val = float(top_s[0])
     best_pair = (top_x[0], top_y[0])
     vals, points, evals = _compass_search(
@@ -384,7 +360,8 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         if val > best_val:
             best_val = float(val)
             best_pair = (p[:dim].copy(), p[dim:].copy())
-    return best_val, best_pair, budget + int(evals.sum()), skipped
+    evals = budget + int(evals.sum())
+    return RefinedMaxResult(best_val, *best_pair, evals, skipped, seed)
 
 
 def dw_constant_estimate(spec, budget, seed):
@@ -407,12 +384,7 @@ def dw_constant_estimate(spec, budget, seed):
         alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
         return np.where(ok, alpha * s / d, -math.inf)
 
-    val, (x, y), evals, skipped = _refine_pairs(
-        spec, budget, seed, _DW_STREAM, batch_fn
-    )
-    return RefinedMaxResult(
-        value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
-    )
+    return _refine_pairs(spec, budget, seed, _DW_STREAM, batch_fn)
 
 
 def parallelogram_defect_search(spec, budget, seed):
@@ -432,16 +404,11 @@ def parallelogram_defect_search(spec, budget, seed):
         ok = den > 1e-24
         return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
 
-    val, (x, y), evals, skipped = _refine_pairs(
-        spec, budget, seed, _PG_STREAM, batch_fn
-    )
-    return RefinedMaxResult(
-        value=val, x=x, y=y, evaluations=evals, skipped=skipped, seed=seed
-    )
+    return _refine_pairs(spec, budget, seed, _PG_STREAM, batch_fn)
 
 
 @dataclass(frozen=True)
-class DetectionVerdict:
+class DetectionVerdict(_Report):
     verdict: str
     per_objective: dict
     parallelogram: RefinedMaxResult
@@ -449,19 +416,6 @@ class DetectionVerdict:
     discrepancy_flagged: bool
     config: SearchConfig
     wall_time_s: float
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "per_objective": {
-                k.value: v.to_dict() for k, v in self.per_objective.items()
-            },
-            "parallelogram": self.parallelogram.to_dict(),
-            "dw_estimate": self.dw_estimate.to_dict(),
-            "discrepancy_flagged": self.discrepancy_flagged,
-            "config": self.config.to_dict(),
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 # The five parts of a detect, longest first: the order a pool starts them in.

@@ -8,6 +8,7 @@ which is what the search module exploits.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,9 @@ import numpy as np
 
 from .errors import NormGeoError, ZeroVectorError
 from .norms import (
+    _BLOCK,
     _check_count,
+    _Report,
     _norm_rows,
     _vector_pair,
     norm_eval,
@@ -55,44 +58,25 @@ CONDITIONAL_IDS = (
 
 _GAMMA_LOG_BAND = (math.log(0.125), math.log(8.0))  # |gamma| in [1/8, 8]
 _BATCH_STREAM = 1
-_BATCH_BLOCK = 1 << 13
 _EQUAL_NORM_REL = 1e-9
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(_Report):
     x: np.ndarray
     y: np.ndarray
     t: float | None = None
     gamma: float | None = None
 
-    def to_dict(self):
-        return {
-            "x": [float(v) for v in self.x],
-            "y": [float(v) for v in self.y],
-            "t": self.t,
-            "gamma": self.gamma,
-        }
-
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Report):
     id: InequalityId
     lhs: float
     rhs: float
     slack: float
     witness: Witness
     universal: bool
-
-    def to_dict(self):
-        return {
-            "id": self.id.value,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "witness": self.witness.to_dict(),
-            "universal": self.universal,
-        }
 
 
 def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
@@ -197,7 +181,7 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
 
 
 @dataclass(frozen=True)
-class BatchResult:
+class BatchResult(_Report):
     report: InequalityReport
     trials: int
     seed: int
@@ -205,12 +189,9 @@ class BatchResult:
     min_normalized_slack: float
 
     def to_dict(self):
-        out = self.report.to_dict()
-        out["trials"] = self.trials
-        out["seed"] = self.seed
-        out["trial_index"] = self.trial_index
-        out["min_normalized_slack"] = self.min_normalized_slack
-        return out
+        # the report's keys first, then the batch's own
+        out = super().to_dict()
+        return {**out.pop("report"), **out}
 
 
 def _batch_block(iq, spec, seed, block_index, start, count):
@@ -242,6 +223,19 @@ def _batch_block(iq, spec, seed, block_index, start, count):
     )
 
 
+def _map_in_order(pool, fn, items, window):
+    """pool.map(fn, items) with at most `window` calls submitted and not yet
+    read: pool.map submits every call before the first result comes back,
+    so its futures alone would grow with len(items)."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def batch_min_slack(iq, spec, trials, seed, workers=1):
     """Sample trials random pairs and return the report with minimal slack.
 
@@ -250,7 +244,8 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     the earliest trial. LORCH pairs are made equal-norm by rescaling the
     second sample; t is uniform on [0,1] and gamma log-uniform on
     +-[1/8, 8]. Each block is folded into a running best as it returns,
-    so memory does not grow with trials.
+    and threads keep at most 2 * workers blocks submitted, so memory does
+    not grow with trials.
     """
     iq = InequalityId(iq)
     _check_count("workers", workers)
@@ -258,8 +253,8 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     _check_count("seed", seed, 0)
 
     def run(b):
-        start = b * _BATCH_BLOCK
-        count = min(_BATCH_BLOCK, trials - start)
+        start = b * _BLOCK
+        count = min(_BLOCK, trials - start)
         return _batch_block(iq, spec, seed, b, start, count)
 
     def fold(results):
@@ -272,10 +267,10 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
                 best = res
         return best, min_norm_slack
 
-    blocks = range(-(-trials // _BATCH_BLOCK))
+    blocks = range(-(-trials // _BLOCK))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            best, min_norm_slack = fold(pool.map(run, blocks))
+            best, min_norm_slack = fold(_map_in_order(pool, run, blocks, 2 * workers))
     else:
         best, min_norm_slack = fold(map(run, blocks))
     _, index, x, y, t, gamma, _ = best

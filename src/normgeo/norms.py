@@ -7,10 +7,11 @@ gram matrix G, certified by a triangular factorization).
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,8 +33,10 @@ _RADIUS_RANGE = (0.5, 4.0)
 _AXIOM_STREAM = 0
 _AXIOM_TOL = 1e-9
 _GRAM_SYMMETRY_REL = 1e-12
-_BLOCK = 1 << 14
-# Largest accepted dim: an 8192-row stack of such vectors is 64 MiB.
+# Rows of one sampled block: the axiom check, the sweep and the side checks
+# draw and score their pairs this many at a time.
+_BLOCK = 1 << 13
+# Largest accepted dim: a _BLOCK-row stack of such vectors is 64 MiB.
 _MAX_DIM = 1024
 
 
@@ -246,6 +249,29 @@ def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
         raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
+class _Report:
+    """Base of the report dataclasses: to_dict() gives every field, in
+    declaration order, made JSON-ready by _plain."""
+
+    def to_dict(self):
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """A report as its to_dict(), an enum as its value, an array as a list
+    of Python floats, a dict with its keys and values converted alike;
+    anything else as it is."""
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return value
+
+
 def stream(seed, *key):
     """Deterministic child generator for (seed, key...). Worker-count free."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
@@ -276,23 +302,13 @@ def sample_pair(dim, rng):
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Report):
     trials: int
     worst_homogeneity_defect: float
     worst_triangle_slack: float
     worst_positivity: float
     passed: bool
     seed: int
-
-    def to_dict(self):
-        return {
-            "trials": self.trials,
-            "worst_homogeneity_defect": self.worst_homogeneity_defect,
-            "worst_triangle_slack": self.worst_triangle_slack,
-            "worst_positivity": self.worst_positivity,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
 
 
 def validate_norm_axioms(spec, trials, seed, tol=None):

@@ -307,3 +307,68 @@ def test_verdict_dict_shape():
     assert isinstance(d["discrepancy_flagged"], bool)
     for key in ("parallelogram", "dw_estimate"):
         assert set(d[key]) == {"value", "witness", "evaluations", "skipped", "seed"}
+
+
+# Key order of every report's to_dict(): the order of the JSON reports.
+_REPORT_KEYS = {
+    ng.Witness: ["x", "y", "t", "gamma"],
+    ng.InequalityReport: ["id", "lhs", "rhs", "slack", "witness", "universal"],
+    ng.BatchResult: [
+        "id", "lhs", "rhs", "slack", "witness", "universal",
+        "trials", "seed", "trial_index", "min_normalized_slack",
+    ],
+    ng.AxiomReport: [
+        "trials", "worst_homogeneity_defect", "worst_triangle_slack",
+        "worst_positivity", "passed", "seed",
+    ],
+    ng.SearchConfig: ["dim", "seed", "restarts", "iters_per_restart"],
+    ng.SearchResult: [
+        "objective", "best_violation", "witness", "witness_slack", "evaluations", "seed",
+    ],
+    ng.RefinedMaxResult: ["value", "witness", "evaluations", "skipped", "seed"],
+    ng.DetectionVerdict: [
+        "verdict", "per_objective", "parallelogram", "dw_estimate",
+        "discrepancy_flagged", "config", "wall_time_s",
+    ],
+}
+
+
+def _assert_plain(value):
+    # exact types: a numpy float or a str enum would pass an isinstance check
+    if type(value) is dict:
+        for k, v in value.items():
+            assert type(k) is str
+            _assert_plain(v)
+    elif type(value) is list:
+        for v in value:
+            _assert_plain(v)
+    else:
+        assert type(value) in (float, int, bool, str, type(None)), type(value)
+
+
+def test_report_dicts_follow_field_order_with_plain_values():
+    cfg = SearchConfig(dim=2, seed=1, restarts=2, iters_per_restart=100)
+    verdict = detect_inner_product(L1, cfg, side_budget=50)
+    batch = ng.batch_min_slack(InequalityId.MALIGRANDA_UPPER, L1, trials=64, seed=1)
+    lorch = ng.evaluate_inequality(InequalityId.LORCH, L1, [1, 0], [0, 1], gamma=2.0)
+    reports = [
+        verdict,
+        verdict.config,
+        verdict.parallelogram,
+        verdict.dw_estimate,
+        *verdict.per_objective.values(),
+        batch,
+        batch.report,
+        batch.report.witness,
+        lorch,
+        lorch.witness,
+        ng.validate_norm_axioms(L1, 100, 1),
+    ]
+    assert {type(r) for r in reports} == set(_REPORT_KEYS)
+    for r in reports:
+        d = r.to_dict()
+        assert list(d) == _REPORT_KEYS[type(r)]
+        _assert_plain(d)
+    d = verdict.to_dict()
+    assert list(d["per_objective"]) == [o.value for o in CONDITIONAL_IDS]
+    assert list(d["parallelogram"]["witness"]) == ["x", "y"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import normgeo as ng
+import normgeo.inequalities as ineq
 from normgeo.inequalities import CONDITIONAL_IDS, UNIVERSAL_IDS, InequalityId
 from normgeo.norms import sample_pair, stream
 from support import family_specs, random_spd
@@ -297,6 +298,28 @@ def test_batch_memory_does_not_grow_with_trials(workers):
             tracemalloc.stop()
 
     assert peak(16, workers) <= 1.25 * workers * peak(2, 1)
+
+
+def test_threads_keep_a_bounded_number_of_blocks_in_flight(monkeypatch):
+    # Each stubbed block returns at once, so the traced peak is what the
+    # scheduling itself holds. Submitting all 20,000 blocks up front, as
+    # pool.map does, takes tens of MiB in futures alone.
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+    def block(iq, spec, seed, block_index, start, count):
+        return 0.0, start, x, y, None, None, 0.0
+
+    monkeypatch.setattr(ineq, "_batch_block", block)
+    tracemalloc.start()
+    try:
+        res = ng.batch_min_slack(
+            InequalityId.MALIGRANDA_UPPER, L1, 20000 * 8192, 3, workers=2
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trial_index == 0
+    assert peak < 4 * 2**20
 
 
 def test_batch_accepts_string_id():
