@@ -25,7 +25,15 @@ from .inequalities import (
     _batch_lhs_rhs,
     _norm_rows,
 )
-from .norms import _BLOCK, _RADIUS_RANGE, _check_count, _Report, sample_points, stream
+from .norms import (
+    _BLOCK,
+    _RADIUS_RANGE,
+    _check_count,
+    _chunks,
+    _Report,
+    sample_points,
+    stream,
+)
 
 # perfbench/tracer.py substitutes detect.norm_eval, so the name stays
 # importable although nothing here calls it.
@@ -317,8 +325,8 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
     with the same compass search the violation searches use, and return
     the best pair found as a RefinedMaxResult.
 
-    Pairs are drawn and scored in blocks of _BLOCK, block b from
-    the (seed, tag, b) stream, so memory stays bounded for any budget. A
+    Pairs are drawn in blocks of _BLOCK, block b from the (seed, tag, b)
+    stream, and scored in chunks, so memory stays bounded for any budget. A
     running top _REFINE_TOP keeps the best finite scores, ties going to
     the earliest pair.
     """
@@ -334,13 +342,18 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         xs = sample_points(dim, rng, count)
         ys = sample_points(dim, rng, count)
         if b == 0:
-            first = (xs[0], ys[0])
-        scores = batch_fn(xs, ys)
+            # copies: views would pin block 0's whole stacks
+            first = (xs[0].copy(), ys[0].copy())
+        scores = np.empty(count)
+        for sl in _chunks(count, dim):
+            scores[sl] = batch_fn(xs[sl], ys[sl])
         skipped += int(np.isneginf(scores).sum())
-        # stable: earlier pairs come first in the stack, so they win ties
-        top_s = np.concatenate([top_s, scores])
-        top_x = np.concatenate([top_x, xs])
-        top_y = np.concatenate([top_y, ys])
+        # stable: earlier pairs come first, so they win ties; a row outside
+        # its block's own top cannot enter the running top
+        keep = np.argsort(-scores, kind="stable")[:_REFINE_TOP]
+        top_s = np.concatenate([top_s, scores[keep]])
+        top_x = np.concatenate([top_x, xs[keep]])
+        top_y = np.concatenate([top_y, ys[keep]])
         order = np.argsort(-top_s, kind="stable")[:_REFINE_TOP]
         order = order[np.isfinite(top_s[order])]
         top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]

@@ -20,6 +20,7 @@ from .errors import NormGeoError, ZeroVectorError
 from .norms import (
     _BLOCK,
     _check_count,
+    _chunks,
     _Report,
     _norm_rows,
     _vector_pair,
@@ -204,12 +205,23 @@ def _batch_block(iq, spec, seed, block_index, start, count):
     elif iq is InequalityId.LORCH:
         gammas = np.exp(rng.uniform(*_GAMMA_LOG_BAND, count))
         gammas *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        nx = _norm_rows(spec, xs)
-        ny = _norm_rows(spec, ys)
-        ys = ys * (nx / ny)[:, None]
-    lhs, rhs = _batch_lhs_rhs(iq, spec, xs, ys, ts=ts, gammas=gammas)
-    slack = rhs - lhs
-    normalized = slack / (1.0 + np.abs(lhs) + np.abs(rhs))
+    # scored in chunks: only the pair stacks and these two rows span the block
+    slack = np.empty(count)
+    normalized = np.empty(count)
+    for sl in _chunks(count, spec.dim):
+        x, y = xs[sl], ys[sl]
+        if gammas is not None:
+            y *= (_norm_rows(spec, x) / _norm_rows(spec, y))[:, None]
+        lhs, rhs = _batch_lhs_rhs(
+            iq,
+            spec,
+            x,
+            y,
+            ts=None if ts is None else ts[sl],
+            gammas=None if gammas is None else gammas[sl],
+        )
+        slack[sl] = rhs - lhs
+        normalized[sl] = slack[sl] / (1.0 + np.abs(lhs) + np.abs(rhs))
     i = int(np.argmin(slack))
     # copies: a view would keep the block's whole xs and ys stacks alive
     return (

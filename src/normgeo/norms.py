@@ -36,7 +36,12 @@ _GRAM_SYMMETRY_REL = 1e-12
 # Rows of one sampled block: the axiom check, the sweep and the side checks
 # draw and score their pairs this many at a time.
 _BLOCK = 1 << 13
-# Largest accepted dim: a _BLOCK-row stack of such vectors is 64 MiB.
+# Doubles in one chunk: a block is scored _CHUNK_CELLS // dim rows at a time,
+# so each temporary stays near 512 KiB and a block holds little beyond its
+# pair stacks. Every value is computed row by row, so chunking moves no bit.
+_CHUNK_CELLS = 1 << 16
+# Largest accepted dim: a _BLOCK-row stack of such vectors is 64 MiB, and a
+# block peaks near two such stacks.
 _MAX_DIM = 1024
 
 
@@ -236,6 +241,13 @@ def _vector_pair(spec, x, y):
     return pair
 
 
+def _chunks(count, dim):
+    """Slices that cover range(count) in runs of _CHUNK_CELLS // dim rows
+    (at least one row each); at dim <= 8 a whole block is one run."""
+    step = max(1, _CHUNK_CELLS // dim)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
     """Require an integer (not a bool) in [lowest, highest]; raise `error`
     otherwise. The check every library count and seed goes through."""
@@ -285,7 +297,10 @@ def sample_points(dim, rng, count):
     """
     r_lo, r_hi = _RADIUS_RANGE
     dirs = rng.standard_normal((count, dim))
-    norms = np.sqrt((dirs * dirs).sum(axis=1))
+    norms = np.empty(count)
+    for sl in _chunks(count, dim):
+        d = dirs[sl]
+        norms[sl] = np.sqrt((d * d).sum(axis=1))
     while True:
         bad = norms < 1e-12
         if not bad.any():
@@ -293,7 +308,8 @@ def sample_points(dim, rng, count):
         dirs[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms[bad] = np.sqrt((dirs[bad] * dirs[bad]).sum(axis=1))
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), count))
-    return dirs * (radii / norms)[:, None]
+    dirs *= (radii / norms)[:, None]
+    return dirs
 
 
 def sample_pair(dim, rng):
@@ -336,11 +352,14 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
         ys = sample_points(spec.dim, rng, n_b)
         lam = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n_b))
         lam *= np.where(rng.random(n_b) < 0.5, -1.0, 1.0)
-        nx = _norm_rows(spec, xs)
-        ny = _norm_rows(spec, ys)
-        nlx = _norm_rows(spec, lam[:, None] * xs)
-        hom = np.abs(nlx - np.abs(lam) * nx) / (1.0 + np.abs(lam) * nx)
-        tri = (nx + ny - _norm_rows(spec, xs + ys)) / (1.0 + nx + ny)
+        nx, ny, hom, tri = (np.empty(n_b) for _ in range(4))
+        for sl in _chunks(n_b, spec.dim):
+            x, y, a = xs[sl], ys[sl], np.abs(lam[sl])
+            cx, cy = _norm_rows(spec, x), _norm_rows(spec, y)
+            nlx = _norm_rows(spec, lam[sl, None] * x)
+            nx[sl], ny[sl] = cx, cy
+            hom[sl] = np.abs(nlx - a * cx) / (1.0 + a * cx)
+            tri[sl] = (cx + cy - _norm_rows(spec, x + y)) / (1.0 + cx + cy)
         worst_h = max(worst_h, float(hom.max()))
         worst_t = min(worst_t, float(tri.min()))
         worst_p = min(worst_p, float(nx.min()), float(ny.min()))

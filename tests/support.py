@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -15,6 +16,16 @@ def record_criterion(number, failures):
     status = "PASS" if not failures else "FAIL"
     ACCEPTANCE_LINES.append(f"[criterion {number}] {status}")
     assert not failures, f"criterion {number}: " + "; ".join(failures)
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc and return the peak traced bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_spd(dim, seed, eig_lo=0.5, eig_hi=2.0):

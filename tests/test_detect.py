@@ -144,6 +144,16 @@ def test_dw_constant_skips_pairs_with_vanishing_norms():
     assert res.value == -math.inf
 
 
+@pytest.mark.parametrize("search", [dw_constant_estimate, parallelogram_defect_search])
+def test_all_skipped_fallback_pair_owns_its_data(search):
+    # Views into the first sampled block would keep its whole stacks alive
+    # for as long as the result lives.
+    res = search(ng.weighted_lp_norm(2, [1e-40] * 2), budget=4000, seed=1)
+    assert res.skipped == 4000
+    assert res.x.base is None and res.y.base is None
+    assert res.x.shape == res.y.shape == (2,)
+
+
 def test_side_check_validation():
     for search in (dw_constant_estimate, parallelogram_defect_search):
         for budget, seed, name in ((0, 1, "budget"), (2.5, 1, "budget"),

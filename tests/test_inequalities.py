@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import normgeo as ng
 import normgeo.inequalities as ineq
 from normgeo.inequalities import CONDITIONAL_IDS, UNIVERSAL_IDS, InequalityId
 from normgeo.norms import sample_pair, stream
-from support import family_specs, random_spd
+from support import family_specs, random_spd, traced_peak
 
 L1 = ng.lp_norm(1, 2)
 L2 = ng.lp_norm(2, 2)
@@ -288,14 +287,11 @@ def test_batch_memory_does_not_grow_with_trials(workers):
     spec = ng.lp_norm(2, 64)
 
     def peak(blocks, workers):
-        tracemalloc.start()
-        try:
-            ng.batch_min_slack(
+        return traced_peak(
+            lambda: ng.batch_min_slack(
                 InequalityId.MALIGRANDA_UPPER, spec, blocks * 8192, 3, workers=workers
             )
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        )
 
     assert peak(16, workers) <= 1.25 * workers * peak(2, 1)
 
@@ -310,15 +306,13 @@ def test_threads_keep_a_bounded_number_of_blocks_in_flight(monkeypatch):
         return 0.0, start, x, y, None, None, 0.0
 
     monkeypatch.setattr(ineq, "_batch_block", block)
-    tracemalloc.start()
-    try:
-        res = ng.batch_min_slack(
-            InequalityId.MALIGRANDA_UPPER, L1, 20000 * 8192, 3, workers=2
+    res = []
+    peak = traced_peak(
+        lambda: res.append(
+            ng.batch_min_slack(InequalityId.MALIGRANDA_UPPER, L1, 20000 * 8192, 3, workers=2)
         )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.trial_index == 0
+    )
+    assert res[0].trial_index == 0
     assert peak < 4 * 2**20
 
 
