@@ -164,6 +164,7 @@ def _cmd_dw_constant(args):
         "estimate": result.value,
         "witness": result.to_dict()["witness"],
         "evaluations": result.evaluations,
+        "budget_stops": result.budget_stops,
         "skipped": result.skipped,
     }
     _emit_json(payload, args.out)

@@ -45,6 +45,11 @@ CONSISTENT = "CONSISTENT"
 _STEP_INIT = 0.25
 _STEP_SHRINK = 0.5
 _STEP_FLOOR = 1e-9
+# Sufficient decrease: a poll counts only if it beats the best by more than
+# _DECREASE_RHO * step**2 + _NOISE_REL * (1 + |best|), so a search on a flat
+# optimum stops climbing rounding noise and shrinks its step instead.
+_DECREASE_RHO = 1e-4
+_NOISE_REL = 1e-12
 _STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
@@ -86,6 +91,8 @@ class SearchResult(_Report):
     witness: Witness
     witness_slack: float
     evaluations: int
+    # restarts that ended on their evaluation budget, not at the step floor
+    budget_stops: int
     seed: int
 
 
@@ -95,12 +102,16 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     fn(q) scores an (m, n) stack q of points. Each row follows the
     trajectory a lone search from it would: poll the 2n points +-step
     along each coordinate in order, +step before -step; take the first
-    strict improvement and go on to the next coordinate; halve the step
-    (from 0.25) after a sweep without one. A poll is clamped to [lo, hi]
-    and projected into the feasible set (project must keep a point inside
-    [lo, hi]); one that leaves its own coordinate unchanged is skipped and
-    costs no evaluation. A row stops when its step drops below 1e-9 or its
-    budget runs out.
+    sufficient improvement and go on to the next coordinate; halve the
+    step (from 0.25) after a sweep without one. A poll value v improves
+    on the best b only if v > b + 1e-4 * step**2 + 1e-12 * (1 + |b|): a
+    decrease of order step**2 (Kolda, Lewis & Torczon, SIAM Review 45(3),
+    2003) and a relative rounding-noise floor. A best of -inf takes any
+    finite value. A poll is clamped to [lo, hi] and projected into the
+    feasible set (project must keep a point inside [lo, hi]); one that
+    leaves its own coordinate unchanged is skipped and costs no
+    evaluation. A row stops when its step drops below 1e-9 or its budget
+    runs out.
 
     Each tick stacks, for every live row, the rest of its current sweep
     into one fn call: every poll from the current point that is not
@@ -145,7 +156,8 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
             vals = np.full(m * 2 * n, -math.inf)
             if kept.size:
                 vals[kept] = fn(cand[kept])
-            better = vals.reshape(m, 2 * n) > best[rows, None]
+            need = _sufficient(best[rows], step[rows])
+            better = vals.reshape(m, 2 * n) > need[:, None]
             hit = better.any(axis=1)
             first = better.argmax(axis=1)
             evals[rows] += np.where(
@@ -164,6 +176,13 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
         pos[wrap] = 0
         live = live[step[live] >= _STEP_FLOOR]
     return best, p, evals
+
+
+def _sufficient(best, step):
+    """The value a poll must beat, per row, under the sufficient-decrease
+    rule; -inf where the best is -inf (never -inf + inf)."""
+    size = np.abs(np.where(np.isinf(best), 0.0, best))
+    return best + _DECREASE_RHO * (step * step) + _NOISE_REL * (1.0 + size)
 
 
 def _decode_points(spec, objective, d, q):
@@ -298,6 +317,7 @@ def violation_search(spec, objective, config):
         witness=witness,
         witness_slack=-val,
         evaluations=int(evals.sum()),
+        budget_stops=int((evals >= config.iters_per_restart).sum()),
         seed=config.seed,
     )
 
@@ -310,6 +330,8 @@ class RefinedMaxResult(_Report):
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     evaluations: int
+    # refines that ended on their evaluation budget, not at the step floor
+    budget_stops: int
     skipped: int
     seed: int
 
@@ -358,7 +380,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         order = order[np.isfinite(top_s[order])]
         top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]
     if not top_s.size:
-        return RefinedMaxResult(-math.inf, *first, budget, skipped, seed)
+        return RefinedMaxResult(-math.inf, *first, budget, 0, skipped, seed)
     best_val = float(top_s[0])
     best_pair = (top_x[0], top_y[0])
     vals, points, evals = _compass_search(
@@ -373,8 +395,9 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         if val > best_val:
             best_val = float(val)
             best_pair = (p[:dim].copy(), p[dim:].copy())
+    stops = int((evals >= _SIDE_BUDGET).sum())
     evals = budget + int(evals.sum())
-    return RefinedMaxResult(best_val, *best_pair, evals, skipped, seed)
+    return RefinedMaxResult(best_val, *best_pair, evals, stops, skipped, seed)
 
 
 def dw_constant_estimate(spec, budget, seed):

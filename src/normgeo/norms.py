@@ -40,6 +40,11 @@ _BLOCK = 1 << 13
 # so each temporary stays near 512 KiB and a block holds little beyond its
 # pair stacks. Every value is computed row by row, so chunking moves no bit.
 _CHUNK_CELLS = 1 << 16
+# A sum of squares at or above _SUMSQ_LO (times the largest weight, if that
+# is above 1) loses nothing that matters to subnormal squares, even over
+# _MAX_DIM coordinates; the p=2, weighted p=2 and gram kernels rescale only
+# the rows below it and the rows that overflow.
+_SUMSQ_LO = 2.0**-900
 # Largest accepted dim: a _BLOCK-row stack of such vectors is 64 MiB, and a
 # block peaks near two such stacks.
 _MAX_DIM = 1024
@@ -70,6 +75,8 @@ class NormSpec:
     weights: np.ndarray | None = None
     gram: np.ndarray | None = None
     chol: np.ndarray | None = field(default=None, init=False, repr=False)
+    # not a field: the p=2 kernels' lower bound on a row's sum of squares
+    _sumsq_lo = _SUMSQ_LO
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
@@ -96,6 +103,7 @@ class NormSpec:
             if not np.all(np.isfinite(w)) or not np.all(w > 0.0):
                 raise NormSpecError("weights must be finite and strictly positive")
             object.__setattr__(self, "weights", _freeze(w))
+            object.__setattr__(self, "_sumsq_lo", _SUMSQ_LO * max(1.0, float(w.max())))
         elif self.kind == QUADRATIC:
             if self.p is not None or self.weights is not None:
                 raise NormSpecError("quadratic norm takes only a gram matrix")
@@ -195,13 +203,54 @@ def _norm_rows(spec, v):
     """
     shape = v.shape[:-1]
     v = v.reshape(-1, v.shape[-1])
-    if spec.kind == QUADRATIC:
-        if v.shape[0] == 1:
-            z = (np.concatenate([v, v]) @ spec.chol)[:1]
-        else:
-            z = v @ spec.chol
-        return np.sqrt((z * z).sum(axis=-1)).reshape(shape)
+    if spec.kind == QUADRATIC or spec.p == 2.0:
+        return _sumsq_rows(spec, v).reshape(shape)
     return _lp_rows(spec, v).reshape(shape)
+
+
+def _gram_map(chol, v):
+    """v @ chol for a 2-D stack; a lone row goes through as a 2-row stack."""
+    if v.shape[0] == 1:
+        return (np.concatenate([v, v]) @ chol)[:1]
+    return v @ chol
+
+
+def _sumsq(spec, v):
+    z = _gram_map(spec.chol, v) if spec.kind == QUADRATIC else v
+    sq = z * z
+    return (sq if spec.weights is None else spec.weights * sq).sum(axis=-1)
+
+
+def _sumsq_rows(spec, v):
+    """Norms of a 2-D stack under p=2, weighted p=2 or a gram matrix: the
+    square root of a (weighted) sum of squares. Rows whose sum overflows or
+    falls below spec._sumsq_lo are recomputed from x / max|x_i| (the mapped
+    vector rescaled once more by its own largest entry), so huge and tiny
+    vectors get finite, nonzero norms; every other row keeps its bits."""
+    lo = spec._sumsq_lo
+    try:
+        with np.errstate(over="raise"):
+            s = _sumsq(spec, v)
+        if not s.size or np.minimum.reduce(s) >= lo:
+            return np.sqrt(s)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            s = _sumsq(spec, v)
+    out = np.sqrt(s)
+    m = np.abs(v).max(axis=-1)
+    bad = ~((s >= lo) & (s < math.inf)) & (m > 0.0) & (m < math.inf)
+    if bad.any():
+        u = v[bad] / m[bad, None]
+        w = spec.weights
+        if spec.kind == QUADRATIC:
+            u = _gram_map(spec.chol, u)
+        elif w is not None:
+            u = u * np.sqrt(w)
+        mu = np.abs(u).max(axis=-1)
+        u /= mu[:, None]
+        with np.errstate(over="ignore"):
+            out[bad] = m[bad] * (mu * np.sqrt((u * u).sum(axis=-1)))
+    return out
 
 
 def _lp_rows(spec, v):
@@ -213,9 +262,6 @@ def _lp_rows(spec, v):
         return (a if w is None else w * a).max(axis=-1)
     if p == 1.0:
         return (a if w is None else w * a).sum(axis=-1)
-    if p == 2.0:
-        sq = a * a
-        return np.sqrt((sq if w is None else w * sq).sum(axis=-1))
     # General p: rescale by the largest coordinate before exponentiation so
     # large p cannot overflow; an all-zero row stays exactly 0.
     m = a.max(axis=-1, keepdims=True)

@@ -94,6 +94,18 @@ def test_curve_stdout(specs, capsys):
     assert out.splitlines() == ["t,n_xy,n_yx", "0,2,3", "0.5,2.5,2", "1,3,3"]
 
 
+def test_curve_of_a_huge_vector_stays_finite(tmp_path, capsys):
+    spec = tmp_path / "l2.json"
+    spec.write_text(json.dumps({"kind": "lp", "p": 2, "dim": 3}))
+    rc, out, err = run(
+        capsys, "curve", "--norm", str(spec), "--x", "1e200,0,0", "--y", "0,1,0"
+    )
+    assert rc == 0 and err == ""
+    assert "inf" not in out
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows and all(0.0 < float(v) < math.inf for row in rows for v in row[1:])
+
+
 def test_curve_out_file_matches_stdout(specs, capsys, tmp_path):
     argv = ["curve", "--norm", specs["l1"], "--x", "0,2", "--y", "2,-1"]
     rc, out, _ = run(capsys, *argv)

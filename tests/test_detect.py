@@ -67,6 +67,26 @@ def test_more_restarts_never_hurt():
     assert more.best_violation >= few.best_violation
 
 
+def test_flat_optimum_stops_well_inside_the_budget():
+    # On an inner-product norm every LORCH slack is 0 up to rounding; the
+    # sufficient-decrease rule lets restarts reach the step floor instead of
+    # climbing rounding noise until their budgets run out.
+    spec = ng.quadratic_norm(random_spd(4, 77))
+    cfg = SearchConfig(dim=4, seed=20240805, restarts=16)
+    res = violation_search(spec, InequalityId.LORCH, cfg)
+    assert res.evaluations <= 0.6 * cfg.restarts * cfg.iters_per_restart
+    assert res.best_violation <= 1e-12
+    assert res.budget_stops < cfg.restarts
+
+
+def test_budget_stops_count_restarts_and_refines_cut_by_their_budget():
+    cfg = SearchConfig(dim=2, seed=7, restarts=12, iters_per_restart=5)
+    res = violation_search(L1, InequalityId.N_ORDERING, cfg)
+    assert (res.budget_stops, res.evaluations) == (12, 60)
+    res = dw_constant_estimate(ng.weighted_lp_norm(2, [1e-40] * 2), 300, 1)
+    assert (res.skipped, res.budget_stops) == (300, 0)
+
+
 def test_search_validation():
     with pytest.raises(ng.NormGeoError, match="universal"):
         violation_search(L1, InequalityId.MASSERA_SCHAFFER, SMALL)
@@ -316,7 +336,9 @@ def test_verdict_dict_shape():
     assert d["config"]["seed"] == 1
     assert isinstance(d["discrepancy_flagged"], bool)
     for key in ("parallelogram", "dw_estimate"):
-        assert set(d[key]) == {"value", "witness", "evaluations", "skipped", "seed"}
+        assert set(d[key]) == {
+            "value", "witness", "evaluations", "budget_stops", "skipped", "seed",
+        }
 
 
 # Key order of every report's to_dict(): the order of the JSON reports.
@@ -333,9 +355,12 @@ _REPORT_KEYS = {
     ],
     ng.SearchConfig: ["dim", "seed", "restarts", "iters_per_restart"],
     ng.SearchResult: [
-        "objective", "best_violation", "witness", "witness_slack", "evaluations", "seed",
+        "objective", "best_violation", "witness", "witness_slack", "evaluations",
+        "budget_stops", "seed",
     ],
-    ng.RefinedMaxResult: ["value", "witness", "evaluations", "skipped", "seed"],
+    ng.RefinedMaxResult: [
+        "value", "witness", "evaluations", "budget_stops", "skipped", "seed",
+    ],
     ng.DetectionVerdict: [
         "verdict", "per_objective", "parallelogram", "dw_estimate",
         "discrepancy_flagged", "config", "wall_time_s",

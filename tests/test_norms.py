@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -43,6 +44,61 @@ def test_large_p_does_not_overflow():
     val = ng.norm_eval(spec, v)
     assert math.isfinite(val)
     assert val == pytest.approx(1e12 * 2.0 ** (1.0 / 600.0), rel=1e-12)
+
+
+def _exact_norm(gram, x):
+    """sqrt(x' G x) in 60-digit decimal arithmetic, rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        xs = [decimal.Decimal(v) for v in x]
+        q = sum(
+            decimal.Decimal(g) * a * b
+            for row, a in zip(gram, xs)
+            for g, b in zip(row, xs)
+        )
+        return float(q.sqrt())
+
+
+@pytest.mark.parametrize(
+    "spec,x",
+    [
+        (ng.lp_norm(2, 2), [1e200, 0.0]),
+        (ng.quadratic_norm([[2.0, 0.5], [0.5, 1.0]]), [1e200, 0.0]),
+        (ng.lp_norm(2, 3), [1e-170, 0.0, 0.0]),
+        (ng.weighted_lp_norm(2, [4.0, 1.0, 0.5]), [-3e250, 1e-300, 2e249]),
+        (ng.weighted_lp_norm(2, [1e300, 1.0]), [1e-160, 0.0]),
+        (ng.quadratic_norm([[2.0, 0.5], [0.5, 1.0]]), [3e-200, -1e-199]),
+    ],
+    ids=["l2-huge", "gram-huge", "l2-tiny", "weighted-huge", "weighted-tiny", "gram-tiny"],
+)
+def test_sum_of_squares_kernels_neither_overflow_nor_underflow(spec, x):
+    gram = np.diag(spec.weights) if spec.weights is not None else spec.gram
+    gram = np.eye(spec.dim) if gram is None else gram
+    exact = _exact_norm(gram, x)
+    val = ng.norm_eval(spec, x)
+    assert 0.0 < val < math.inf
+    assert abs(val - exact) <= 4 * math.ulp(exact), (val, exact)
+
+
+@pytest.mark.parametrize("family", ["l2", "weighted", "gram"])
+def test_rescaled_rows_leave_the_other_rows_bits_alone(family):
+    spec = {
+        "l2": ng.lp_norm(2, 3),
+        "weighted": ng.weighted_lp_norm(2, [0.5, 2.0, 1.5]),
+        "gram": ng.quadratic_norm(random_spd(3, 5)),
+    }[family]
+    stack = np.random.default_rng(9).standard_normal((6, 3))
+    plain = ng.norm_eval(spec, stack)
+    mixed = stack.copy()
+    mixed[1] *= 2.0**700
+    mixed[4] *= 2.0**-700
+    got = ng.norm_eval(spec, mixed)
+    keep = [0, 2, 3, 5]
+    assert np.array_equal(got[keep], plain[keep])
+    # scaling by a power of 2 is exact, so only the rescaled path's rounding shows
+    assert got[1] == pytest.approx(plain[1] * 2.0**700, rel=1e-15)
+    assert got[4] == pytest.approx(plain[4] * 2.0**-700, rel=1e-15)
+    assert got[1] == ng.norm_eval(spec, mixed[1]) and got[4] == ng.norm_eval(spec, mixed[4])
 
 
 def test_weighted_lp_examples():

@@ -49,7 +49,9 @@ def ref_compass(fn, p0, step_init, shrink, max_evals, lo, hi, project, skips=Non
                     continue
                 v = fn(q)
                 evals += 1
-                if v > best:
+                # sufficient decrease; a best of -inf takes any finite value
+                size = abs(best) if math.isfinite(best) else 0.0
+                if v > best + 1e-4 * (step * step) + 1e-12 * (1.0 + size):
                     p = q
                     best = v
                     improved = True
@@ -427,3 +429,22 @@ def test_all_polls_skipped_stops_at_the_step_floor_after_one_evaluation():
     assert evals.tolist() == [1, 1, 1]
     assert np.array_equal(points, np.tile(bound, (3, 1)))
     assert np.array_equal(vals, toy_fn(points))
+
+
+def test_a_finite_poll_beats_a_start_scored_minus_inf():
+    # The start scores -inf; the first poll (+0.25 along coordinate 0) is
+    # finite and must be taken, with no floor added to -inf.
+    def fn(q):
+        return np.where(q[:, 0] > 0.2, -np.abs(q[:, 0] - 1.0), -math.inf)
+
+    p0 = np.zeros((1, 2))
+    none = np.full(2, -math.inf), np.full(2, math.inf)
+    vals, points, evals = det._compass_search(fn, p0, 2, *none, lambda q: q)
+    assert (vals[0], evals[0]) == (-0.75, 2)
+    assert np.array_equal(points[0], [0.25, 0.0])
+    vals, points, evals = det._compass_search(fn, p0, 2000, *none, lambda q: q)
+    val, p, used = ref_compass(
+        lambda q: fn(q[None])[0], p0[0], 0.25, 0.5, 2000, *none, lambda q: q
+    )
+    assert (vals[0], evals[0]) == (val, used) and np.array_equal(points[0], p)
+    assert val == 0.0
