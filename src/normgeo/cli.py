@@ -54,24 +54,37 @@ def _parse_vector(text):
 
 def _write_atomic(path, data):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".normgeo-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".normgeo-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # name the path the user gave, not the temporary file beside it
+        raise NormGeoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(payload, out_path):
+def _emit(args, spec, body):
+    """Print a report, and with --out also write it: the command, tool
+    version, seed and spec once, then the subcommand's body."""
+    payload = {
+        "command": args.command.replace("-", "_"),
+        "tool_version": __version__,
+        "seed": args.seed,
+        "spec": spec_to_dict(spec),
+        **body,
+    }
     text = json.dumps(payload, indent=2)
     print(text)
-    if out_path:
-        _write_atomic(out_path, text + "\n")
+    if args.out:
+        _write_atomic(args.out, text + "\n")
 
 
 def _load(args):
@@ -84,14 +97,7 @@ def _load(args):
 def _cmd_verify(args):
     spec = _load(args)
     report = validate_norm_axioms(spec, args.trials, args.seed, tol=args.tol)
-    payload = {
-        "command": "verify",
-        "tool_version": __version__,
-        "seed": args.seed,
-        "spec": spec_to_dict(spec),
-        **report.to_dict(),
-    }
-    _emit_json(payload, args.out)
+    _emit(args, spec, {"trials": args.trials, **report.to_dict()})
     return 0 if report.passed else 2
 
 
@@ -119,17 +125,13 @@ def _cmd_inequalities(args):
         results[iq.value] = batch.to_dict()
         worst = min(worst, batch.min_normalized_slack)
     all_hold = worst >= _UNIVERSAL_SLACK_FLOOR
-    payload = {
-        "command": "inequalities",
-        "tool_version": __version__,
-        "seed": args.seed,
+    body = {
         "trials": args.trials,
-        "spec": spec_to_dict(spec),
         "results": results,
         "worst_normalized_slack": worst,
         "all_universal_hold": all_hold,
     }
-    _emit_json(payload, args.out)
+    _emit(args, spec, body)
     return 0 if all_hold else 2
 
 
@@ -142,32 +144,14 @@ def _cmd_detect(args):
         iters_per_restart=args.iters,
     )
     verdict = detect_inner_product(spec, config, workers=args.workers)
-    payload = {
-        "command": "detect",
-        "tool_version": __version__,
-        "seed": args.seed,
-        "spec": spec_to_dict(spec),
-        **verdict.to_dict(),
-    }
-    _emit_json(payload, args.out)
+    _emit(args, spec, verdict.to_dict())
     return 3 if verdict.verdict == VIOLATED else 0
 
 
 def _cmd_dw_constant(args):
     spec = _load(args)
-    result = dw_constant_estimate(spec, args.budget, args.seed)
-    payload = {
-        "command": "dw_constant",
-        "tool_version": __version__,
-        "seed": args.seed,
-        "spec": spec_to_dict(spec),
-        "estimate": result.value,
-        "witness": result.to_dict()["witness"],
-        "evaluations": result.evaluations,
-        "budget_stops": result.budget_stops,
-        "skipped": result.skipped,
-    }
-    _emit_json(payload, args.out)
+    body = dw_constant_estimate(spec, args.budget, args.seed).to_dict()
+    _emit(args, spec, {"estimate": body.pop("value"), **body})
     return 0
 
 

@@ -93,7 +93,6 @@ class SearchResult(_Report):
     evaluations: int
     # restarts that ended on their evaluation budget, not at the step floor
     budget_stops: int
-    seed: int
 
 
 def _compass_search(fn, p0, max_evals, lo, hi, project):
@@ -318,7 +317,6 @@ def violation_search(spec, objective, config):
         witness_slack=-val,
         evaluations=int(evals.sum()),
         budget_stops=int((evals >= config.iters_per_restart).sum()),
-        seed=config.seed,
     )
 
 
@@ -333,7 +331,6 @@ class RefinedMaxResult(_Report):
     # refines that ended on their evaluation budget, not at the step floor
     budget_stops: int
     skipped: int
-    seed: int
 
     def to_dict(self):
         # x and y go under "witness", in the place of their fields
@@ -380,7 +377,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         order = order[np.isfinite(top_s[order])]
         top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]
     if not top_s.size:
-        return RefinedMaxResult(-math.inf, *first, budget, 0, skipped, seed)
+        return RefinedMaxResult(-math.inf, *first, budget, 0, skipped)
     best_val = float(top_s[0])
     best_pair = (top_x[0], top_y[0])
     vals, points, evals = _compass_search(
@@ -397,7 +394,7 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
             best_pair = (p[:dim].copy(), p[dim:].copy())
     stops = int((evals >= _SIDE_BUDGET).sum())
     evals = budget + int(evals.sum())
-    return RefinedMaxResult(best_val, *best_pair, evals, stops, skipped, seed)
+    return RefinedMaxResult(best_val, *best_pair, evals, stops, skipped)
 
 
 def dw_constant_estimate(spec, budget, seed):

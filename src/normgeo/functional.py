@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DerivativeConvergenceError, NormGeoError
-from .norms import NormSpec, _check_count, _vector_pair, norm_eval, quadratic_norm
+from .norms import (
+    NormSpec,
+    _check_count,
+    _norm_rows,
+    _vector_pair,
+    norm_eval,
+    quadratic_norm,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -26,13 +33,25 @@ _ORDER_TIE_REL = 1e-12
 _MAX_STEPS = 8192
 
 
+def _line_norms(spec, x, y, ts):
+    """||x + t*y|| for each t of the 1-D array ts. A point or a norm that
+    overflows raises NormGeoError naming the first such t, without a
+    floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _norm_rows(spec, x[None, :] + ts[:, None] * y[None, :])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NormGeoError(f"the norm overflows at t={ts[bad][0]:.17g}")
+    return out
+
+
 def n_eval(spec, x, y, t):
     """||x + t*y|| for scalar t."""
     t = float(t)
     if not math.isfinite(t):
         raise NormGeoError(f"t must be finite, got {t}")
     x, y = _vector_pair(spec, x, y)
-    return norm_eval(spec, x + t * y)
+    return float(_line_norms(spec, x, y, np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -53,8 +72,8 @@ def n_curve(spec, x, y, t_min, t_max, steps):
     _check_count("steps", steps, 2, _MAX_STEPS)
     x, y = _vector_pair(spec, x, y)
     ts = np.linspace(t_min, t_max, steps)
-    n_xy = norm_eval(spec, x[None, :] + ts[:, None] * y[None, :])
-    n_yx = norm_eval(spec, y[None, :] + ts[:, None] * x[None, :])
+    n_xy = _line_norms(spec, x, y, ts)
+    n_yx = _line_norms(spec, y, x, ts)
     return [
         (CurveSample(float(t), float(a)), CurveSample(float(t), float(b)))
         for t, a, b in zip(ts, n_xy, n_yx)
@@ -129,8 +148,8 @@ def convexity_defect(spec, x, y, t_grid):
     a = g[:-2]
     b = g[2:]
     mid = 0.5 * (a + b)
-    vals_ab = norm_eval(spec, x[None, :] + g[:, None] * y[None, :])
-    vals_mid = norm_eval(spec, x[None, :] + mid[:, None] * y[None, :])
+    vals_ab = _line_norms(spec, x, y, g)
+    vals_mid = _line_norms(spec, x, y, mid)
     defects = vals_mid - 0.5 * (vals_ab[:-2] + vals_ab[2:])
     return float(defects.max())
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -184,8 +185,6 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
 @dataclass(frozen=True)
 class BatchResult(_Report):
     report: InequalityReport
-    trials: int
-    seed: int
     trial_index: int
     min_normalized_slack: float
 
@@ -248,6 +247,14 @@ def _map_in_order(pool, fn, items, window):
         yield pending.popleft().result()
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (all of them where the platform
+    cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def batch_min_slack(iq, spec, trials, seed, workers=1):
     """Sample trials random pairs and return the report with minimal slack.
 
@@ -255,9 +262,10 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     stream, so the result is byte-identical for any worker count. Ties go to
     the earliest trial. LORCH pairs are made equal-norm by rescaling the
     second sample; t is uniform on [0,1] and gamma log-uniform on
-    +-[1/8, 8]. Each block is folded into a running best as it returns,
-    and threads keep at most 2 * workers blocks submitted, so memory does
-    not grow with trials.
+    +-[1/8, 8]. Each block is folded into a running best as it returns.
+    The blocks run on min(workers, blocks, usable CPUs) threads, which keep
+    at most twice their number of blocks submitted, so memory grows with
+    neither trials nor workers.
     """
     iq = InequalityId(iq)
     _check_count("workers", workers)
@@ -280,17 +288,16 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
         return best, min_norm_slack
 
     blocks = range(-(-trials // _BLOCK))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            best, min_norm_slack = fold(_map_in_order(pool, run, blocks, 2 * workers))
+    threads = min(workers, len(blocks), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            best, min_norm_slack = fold(_map_in_order(pool, run, blocks, 2 * threads))
     else:
         best, min_norm_slack = fold(map(run, blocks))
     _, index, x, y, t, gamma, _ = best
     report = evaluate_inequality(iq, spec, x, y, t=t, gamma=gamma)
     return BatchResult(
         report=report,
-        trials=trials,
-        seed=seed,
         trial_index=index,
         min_normalized_slack=min_norm_slack,
     )

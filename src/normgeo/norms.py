@@ -365,12 +365,10 @@ def sample_pair(dim, rng):
 
 @dataclass(frozen=True)
 class AxiomReport(_Report):
-    trials: int
     worst_homogeneity_defect: float
     worst_triangle_slack: float
     worst_positivity: float
     passed: bool
-    seed: int
 
 
 def validate_norm_axioms(spec, trials, seed, tol=None):
@@ -413,12 +411,10 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
         block += 1
     passed = worst_t >= -tol and worst_h <= tol and worst_p >= 0.0
     return AxiomReport(
-        trials=trials,
         worst_homogeneity_defect=worst_h,
         worst_triangle_slack=worst_t,
         worst_positivity=worst_p,
         passed=passed,
-        seed=seed,
     )
 
 
@@ -466,7 +462,11 @@ def parse_norm_spec(obj):
 
 def load_norm_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_norm_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise NormSpecError(f"{path} is not UTF-8 text ({exc})") from exc
+    return parse_norm_spec(text)
 
 
 def spec_to_dict(spec):

@@ -38,6 +38,12 @@ def random_spd(dim, seed, eig_lo=0.5, eig_hi=2.0):
     return (q * eigs) @ q.T
 
 
+def known_answer(spec):
+    """True iff the spec's norm comes from an inner product: a gram norm, a
+    p = 2 norm (weighted or not), or any norm on a line (dim 1)."""
+    return spec.kind == "quadratic" or spec.p == 2.0 or spec.dim == 1
+
+
 def family_specs(dim=3):
     """One spec per norm family at a common dimension."""
     return [

@@ -169,7 +169,7 @@ def test_inequalities_hold_and_echo_seed(specs, capsys):
     assert payload["all_universal_hold"] is True
     assert payload["worst_normalized_slack"] >= -1e-9
     assert len(payload["results"]) == 6
-    assert payload["results"]["MASSERA_SCHAFFER"]["trials"] == 2000
+    assert payload["trials"] == 2000
     assert payload["seed"] == 5
 
 
@@ -499,3 +499,37 @@ def test_main_fuzz_exits_cleanly(spec_dir, command, norm, curve_args, count, tol
         assert json.loads(out.getvalue())["passed"] is False
     else:
         assert rc == 0, (rc, err)
+
+
+def test_non_utf8_norm_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "verify", "--norm", str(path), "--seed", "1")
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    _single_error_line(err)
+
+
+def test_curve_overflow_is_input_error(specs, capsys):
+    argv = ["--x", "1e300,0", "--y", "1e300,1", "--t-max", "1e10", "--steps", "3"]
+    rc, out, err = run(capsys, "curve", "--norm", specs["l1"], *argv)
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    _single_error_line(err)
+    assert "t=5000000000" in err
+
+
+@pytest.mark.parametrize("target", ["taken", "missing/report.json"])
+def test_out_errors_name_the_given_path(target, specs, capsys, tmp_path):
+    (tmp_path / "taken").mkdir()
+    out_path = str(tmp_path / target)
+    argv = ["verify", "--norm", specs["l1"], "--seed", "1", "--out", out_path]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    _single_error_line(err)
+    assert f"cannot write {out_path}:" in err
+    assert ".normgeo-" not in err
+    assert list(tmp_path.rglob(".normgeo-*")) == []

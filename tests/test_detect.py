@@ -337,7 +337,7 @@ def test_verdict_dict_shape():
     assert isinstance(d["discrepancy_flagged"], bool)
     for key in ("parallelogram", "dw_estimate"):
         assert set(d[key]) == {
-            "value", "witness", "evaluations", "budget_stops", "skipped", "seed",
+            "value", "witness", "evaluations", "budget_stops", "skipped",
         }
 
 
@@ -347,19 +347,19 @@ _REPORT_KEYS = {
     ng.InequalityReport: ["id", "lhs", "rhs", "slack", "witness", "universal"],
     ng.BatchResult: [
         "id", "lhs", "rhs", "slack", "witness", "universal",
-        "trials", "seed", "trial_index", "min_normalized_slack",
+        "trial_index", "min_normalized_slack",
     ],
     ng.AxiomReport: [
-        "trials", "worst_homogeneity_defect", "worst_triangle_slack",
-        "worst_positivity", "passed", "seed",
+        "worst_homogeneity_defect", "worst_triangle_slack",
+        "worst_positivity", "passed",
     ],
     ng.SearchConfig: ["dim", "seed", "restarts", "iters_per_restart"],
     ng.SearchResult: [
         "objective", "best_violation", "witness", "witness_slack", "evaluations",
-        "budget_stops", "seed",
+        "budget_stops",
     ],
     ng.RefinedMaxResult: [
-        "value", "witness", "evaluations", "budget_stops", "skipped", "seed",
+        "value", "witness", "evaluations", "budget_stops", "skipped",
     ],
     ng.DetectionVerdict: [
         "verdict", "per_objective", "parallelogram", "dw_estimate",

@@ -37,6 +37,26 @@ def test_n_eval_rejects_nonfinite_vectors():
         ng.n_eval(L1, [math.nan, 0.0], Y, 0.5)
 
 
+@pytest.mark.parametrize(
+    "spec", [L1, L2, ng.lp_norm(3, 2), ng.quadratic_norm([[2.0, 0.5], [0.5, 1.0]])]
+)
+def test_line_overflow_is_an_error_naming_t(spec):
+    x, y = [1e300, 0.0], [1e300, 1.0]
+    with pytest.raises(ng.NormGeoError, match="t=10000000000$"):
+        ng.n_eval(spec, x, y, 1e10)
+    with pytest.raises(ng.NormGeoError, match="t=5000000000$"):
+        ng.n_curve(spec, x, y, 0.0, 1e10, 3)
+    with pytest.raises(ng.NormGeoError, match="t=10000000000$"):
+        ng.convexity_defect(spec, x, y, [0.0, 1e10, 2e10])
+
+
+def test_norm_overflow_on_finite_points_is_an_error():
+    # the points are finite, but their p=2 norm passes the largest float
+    big = [1.7e308, 1.7e308]
+    with pytest.raises(ng.NormGeoError, match="t=0$"):
+        ng.n_eval(L2, big, [0.0, 1.0], 0.0)
+
+
 def test_n_curve_grid_contract():
     rows = ng.n_curve(L1, X, Y, 0.0, 1.0, 101)
     assert len(rows) == 101

