@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NormGeoError
 from .inequalities import (
-    _GAMMA_LOG_BAND,
     CONDITIONAL_IDS,
     InequalityId,
     Witness,
@@ -26,10 +25,11 @@ from .inequalities import (
     _norm_rows,
 )
 from .norms import (
-    _BLOCK,
     _RADIUS_RANGE,
+    _blocks,
     _check_count,
     _chunks,
+    _pair_block,
     _Report,
     sample_points,
     stream,
@@ -64,10 +64,11 @@ _DW_SEPARATION_REL = 1e-8
 _NORM_FLOOR = 1e-12
 # Most restarts one search runs: its starts and engine state grow with them.
 _MAX_RESTARTS = 8192
-# The coordinate after x and y: t for N_ORDERING, log|gamma| for LORCH.
+# The coordinate after x and y: t for N_ORDERING, log|gamma| for LORCH,
+# with |gamma| in [1/8, 8].
 _LAST_COORD_BAND = {
     InequalityId.N_ORDERING: (0.0, 1.0),
-    InequalityId.LORCH: _GAMMA_LOG_BAND,
+    InequalityId.LORCH: (math.log(0.125), math.log(8.0)),
 }
 
 
@@ -184,7 +185,7 @@ def _sufficient(best, step):
     return best + _DECREASE_RHO * (step * step) + _NOISE_REL * (1.0 + size)
 
 
-def _decode_points(spec, objective, d, q):
+def _decode_points(spec, objective, q):
     """The pairs a parameter stack q stands for: (ok, xs, ys, ts, gammas).
 
     Each row is x, y and, for N_ORDERING and LORCH, one more coordinate:
@@ -194,6 +195,7 @@ def _decode_points(spec, objective, d, q):
     exp(q[-1]), because negating gamma negates gamma*x + y/gamma and
     leaves its norm, and so the slack, unchanged.
     """
+    d = spec.dim
     xs, ys = q[:, :d], q[:, d : 2 * d]
     if objective is InequalityId.N_ORDERING:
         return np.ones(len(q), dtype=bool), xs, ys, q[:, -1], None
@@ -211,10 +213,10 @@ def _decode_points(spec, objective, d, q):
     return ok, xs, ys, None, np.array([math.exp(v) for v in logs.tolist()])[back]
 
 
-def _score_points(spec, objective, d, q):
+def _score_points(spec, objective, q):
     """-slack of each parameter row (higher = worse violation); rows the
     decoder does not count score -inf."""
-    ok, xs, ys, ts, gammas = _decode_points(spec, objective, d, q)
+    ok, xs, ys, ts, gammas = _decode_points(spec, objective, q)
     rows = slice(None) if ok.all() else ok  # a slice takes views, not copies
     lhs, rhs = _batch_lhs_rhs(
         objective,
@@ -270,7 +272,7 @@ def _search_restarts(spec, objective, config):
             start.append([rng.uniform(*band)])
         starts.append(np.concatenate(start))
     best, p, evals = _compass_search(
-        lambda q: _score_points(spec, objective, d, q),
+        lambda q: _score_points(spec, objective, q),
         np.array(starts),
         config.iters_per_restart,
         lo,
@@ -301,9 +303,7 @@ def violation_search(spec, objective, config):
     vals, points, signs, evals = _search_restarts(spec, objective, config)
     r_best = int(np.argmax(vals))
     val = float(vals[r_best])
-    _, xs, ys, ts, gammas = _decode_points(
-        spec, objective, config.dim, points[r_best : r_best + 1]
-    )
+    _, xs, ys, ts, gammas = _decode_points(spec, objective, points[r_best : r_best + 1])
     witness = Witness(
         x=xs[0].copy(),
         y=ys[0].copy(),
@@ -344,10 +344,10 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
     with the same compass search the violation searches use, and return
     the best pair found as a RefinedMaxResult.
 
-    Pairs are drawn in blocks of _BLOCK, block b from the (seed, tag, b)
-    stream, and scored in chunks, so memory stays bounded for any budget. A
-    running top _REFINE_TOP keeps the best finite scores, ties going to
-    the earliest pair.
+    Pairs are drawn block by block (norms._pair_block on stream tag) and
+    scored in chunks, so memory stays bounded for any budget. A running top
+    _REFINE_TOP keeps the best finite scores, ties going to the earliest
+    pair.
     """
     dim = spec.dim
     _check_count("budget", budget)
@@ -355,16 +355,13 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
     top_s = np.empty(0)
     top_x = top_y = np.empty((0, dim))
     skipped = 0
-    for b, start in enumerate(range(0, budget, _BLOCK)):
-        rng = stream(seed, tag, b)
-        count = min(_BLOCK, budget - start)
-        xs = sample_points(dim, rng, count)
-        ys = sample_points(dim, rng, count)
+    for b in _blocks(budget):
+        _, _, xs, ys = _pair_block(dim, budget, seed, tag, b)
         if b == 0:
             # copies: views would pin block 0's whole stacks
             first = (xs[0].copy(), ys[0].copy())
-        scores = np.empty(count)
-        for sl in _chunks(count, dim):
+        scores = np.empty(len(xs))
+        for sl in _chunks(len(xs), dim):
             scores[sl] = batch_fn(xs[sl], ys[sl])
         skipped += int(np.isneginf(scores).sum())
         # stable: earlier pairs come first, so they win ties; a row outside

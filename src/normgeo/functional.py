@@ -150,7 +150,8 @@ def convexity_defect(spec, x, y, t_grid):
     mid = 0.5 * (a + b)
     vals_ab = _line_norms(spec, x, y, g)
     vals_mid = _line_norms(spec, x, y, mid)
-    defects = vals_mid - 0.5 * (vals_ab[:-2] + vals_ab[2:])
+    # halve, then add: the sum of two norms near the float limit overflows
+    defects = vals_mid - (0.5 * vals_ab[:-2] + 0.5 * vals_ab[2:])
     return float(defects.max())
 
 

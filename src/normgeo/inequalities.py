@@ -19,15 +19,14 @@ import numpy as np
 
 from .errors import NormGeoError, ZeroVectorError
 from .norms import (
-    _BLOCK,
+    _blocks,
     _check_count,
     _chunks,
+    _pair_block,
     _Report,
     _norm_rows,
     _vector_pair,
     norm_eval,
-    sample_points,
-    stream,
 )
 
 
@@ -58,7 +57,6 @@ CONDITIONAL_IDS = (
     InequalityId.LORCH,
 )
 
-_GAMMA_LOG_BAND = (math.log(0.125), math.log(8.0))  # |gamma| in [1/8, 8]
 _BATCH_STREAM = 1
 _EQUAL_NORM_REL = 1e-9
 
@@ -194,44 +192,21 @@ class BatchResult(_Report):
         return {**out.pop("report"), **out}
 
 
-def _batch_block(iq, spec, seed, block_index, start, count):
-    rng = stream(seed, _BATCH_STREAM, block_index)
-    xs = sample_points(spec.dim, rng, count)
-    ys = sample_points(spec.dim, rng, count)
-    ts = gammas = None
-    if iq is InequalityId.N_ORDERING:
-        ts = rng.uniform(0.0, 1.0, count)
-    elif iq is InequalityId.LORCH:
-        gammas = np.exp(rng.uniform(*_GAMMA_LOG_BAND, count))
-        gammas *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
+def _batch_block(iq, spec, trials, seed, b):
+    """Block b of a sweep of one universal inequality: its least slack, the
+    trial index and pair (copies) that reach it, and its least normalized
+    slack."""
+    start, _, xs, ys = _pair_block(spec.dim, trials, seed, _BATCH_STREAM, b)
     # scored in chunks: only the pair stacks and these two rows span the block
-    slack = np.empty(count)
-    normalized = np.empty(count)
-    for sl in _chunks(count, spec.dim):
-        x, y = xs[sl], ys[sl]
-        if gammas is not None:
-            y *= (_norm_rows(spec, x) / _norm_rows(spec, y))[:, None]
-        lhs, rhs = _batch_lhs_rhs(
-            iq,
-            spec,
-            x,
-            y,
-            ts=None if ts is None else ts[sl],
-            gammas=None if gammas is None else gammas[sl],
-        )
+    slack = np.empty(len(xs))
+    normalized = np.empty(len(xs))
+    for sl in _chunks(len(xs), spec.dim):
+        lhs, rhs = _batch_lhs_rhs(iq, spec, xs[sl], ys[sl])
         slack[sl] = rhs - lhs
         normalized[sl] = slack[sl] / (1.0 + np.abs(lhs) + np.abs(rhs))
     i = int(np.argmin(slack))
     # copies: a view would keep the block's whole xs and ys stacks alive
-    return (
-        float(slack[i]),
-        start + i,
-        xs[i].copy(),
-        ys[i].copy(),
-        None if ts is None else float(ts[i]),
-        None if gammas is None else float(gammas[i]),
-        float(normalized.min()),
-    )
+    return float(slack[i]), start + i, xs[i].copy(), ys[i].copy(), float(normalized.min())
 
 
 def _map_in_order(pool, fn, items, window):
@@ -256,26 +231,26 @@ def _usable_cpus():
 
 
 def batch_min_slack(iq, spec, trials, seed, workers=1):
-    """Sample trials random pairs and return the report with minimal slack.
+    """Sample trials random pairs and return the report with minimal slack
+    for one of the six universal inequalities; violation_search searches
+    the three conditional ones.
 
     Trials are split into fixed-size blocks, each with its own seed-derived
     stream, so the result is byte-identical for any worker count. Ties go to
-    the earliest trial. LORCH pairs are made equal-norm by rescaling the
-    second sample; t is uniform on [0,1] and gamma log-uniform on
-    +-[1/8, 8]. Each block is folded into a running best as it returns.
-    The blocks run on min(workers, blocks, usable CPUs) threads, which keep
-    at most twice their number of blocks submitted, so memory grows with
-    neither trials nor workers.
+    the earliest trial. Each block is folded into a running best as it
+    returns. The blocks run on min(workers, blocks, usable CPUs) threads,
+    which keep at most twice their number of blocks submitted, so memory
+    grows with neither trials nor workers.
     """
     iq = InequalityId(iq)
+    if iq not in UNIVERSAL_IDS:
+        raise NormGeoError(f"{iq.value} is conditional; violation_search searches it")
     _check_count("workers", workers)
     _check_count("trials", trials)
     _check_count("seed", seed, 0)
 
     def run(b):
-        start = b * _BLOCK
-        count = min(_BLOCK, trials - start)
-        return _batch_block(iq, spec, seed, b, start, count)
+        return _batch_block(iq, spec, trials, seed, b)
 
     def fold(results):
         # blocks arrive in order, so a strict < keeps the earliest of a tie
@@ -287,15 +262,15 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
                 best = res
         return best, min_norm_slack
 
-    blocks = range(-(-trials // _BLOCK))
+    blocks = _blocks(trials)
     threads = min(workers, len(blocks), _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             best, min_norm_slack = fold(_map_in_order(pool, run, blocks, 2 * threads))
     else:
         best, min_norm_slack = fold(map(run, blocks))
-    _, index, x, y, t, gamma, _ = best
-    report = evaluate_inequality(iq, spec, x, y, t=t, gamma=gamma)
+    _, index, x, y, _ = best
+    report = evaluate_inequality(iq, spec, x, y)
     return BatchResult(
         report=report,
         trial_index=index,

@@ -363,6 +363,24 @@ def sample_pair(dim, rng):
     return pts[0], pts[1]
 
 
+def _blocks(total):
+    """The indices of the _BLOCK-row blocks that hold `total` sampled pairs."""
+    return range(-(-total // _BLOCK))
+
+
+def _pair_block(dim, total, seed, tag, b):
+    """Block b of `total` pairs sampled on stream `tag`: (start, rng, xs, ys).
+    It holds pairs start = b * _BLOCK up to min(start + _BLOCK, total), drawn
+    from the (seed, tag, b) stream, xs first; the caller may draw more from rng.
+    """
+    start = b * _BLOCK
+    count = min(_BLOCK, total - start)
+    rng = stream(seed, tag, b)
+    xs = sample_points(dim, rng, count)
+    ys = sample_points(dim, rng, count)
+    return start, rng, xs, ys
+
+
 @dataclass(frozen=True)
 class AxiomReport(_Report):
     worst_homogeneity_defect: float
@@ -387,13 +405,9 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     worst_h = 0.0
     worst_t = math.inf
     worst_p = math.inf
-    done = 0
-    block = 0
-    while done < trials:
-        n_b = min(_BLOCK, trials - done)
-        rng = stream(seed, _AXIOM_STREAM, block)
-        xs = sample_points(spec.dim, rng, n_b)
-        ys = sample_points(spec.dim, rng, n_b)
+    for b in _blocks(trials):
+        _, rng, xs, ys = _pair_block(spec.dim, trials, seed, _AXIOM_STREAM, b)
+        n_b = len(xs)
         lam = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n_b))
         lam *= np.where(rng.random(n_b) < 0.5, -1.0, 1.0)
         nx, ny, hom, tri = (np.empty(n_b) for _ in range(4))
@@ -407,8 +421,6 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
         worst_h = max(worst_h, float(hom.max()))
         worst_t = min(worst_t, float(tri.min()))
         worst_p = min(worst_p, float(nx.min()), float(ny.min()))
-        done += n_b
-        block += 1
     passed = worst_t >= -tol and worst_h <= tol and worst_p >= 0.0
     return AxiomReport(
         worst_homogeneity_defect=worst_h,

@@ -12,7 +12,7 @@ import normgeo as ng
 import normgeo.detect as det
 import normgeo.inequalities as ineq
 import normgeo.norms as norms
-from normgeo.inequalities import InequalityId
+from normgeo.inequalities import UNIVERSAL_IDS, InequalityId
 from support import random_spd, traced_peak
 
 SPECS = {
@@ -33,7 +33,7 @@ def set_chunk_rows(monkeypatch, rows, dim):
 def reports(spec):
     out = [
         ng.batch_min_slack(iq, spec, TRIALS, 3, workers=workers).to_dict()
-        for iq in InequalityId
+        for iq in UNIVERSAL_IDS
         for workers in (1, 2)
     ]
     out.append(ng.validate_norm_axioms(spec, TRIALS, 3).to_dict())
@@ -59,7 +59,7 @@ def test_tie_across_a_chunk_boundary_goes_to_the_earliest_trial(rows, monkeypatc
     # Trials 0-5 are pair a, every later trial is pair b with the lower
     # slack, so the minimum ties from trial 6 on, across the boundary of
     # 7-row chunks and of every 1-row chunk.
-    spec, iq = SPECS["l1"], InequalityId.ALPHA_BETA
+    spec, iq = SPECS["l1"], InequalityId.ANGULAR_LOWER
     a, b = np.random.default_rng(5).standard_normal((2, 2, spec.dim))
     slack_a, slack_b = (ng.evaluate_inequality(iq, spec, *p).slack for p in (a, b))
     if slack_b > slack_a:
@@ -72,7 +72,7 @@ def test_tie_across_a_chunk_boundary_goes_to_the_earliest_trial(rows, monkeypatc
         out[:6], out[6:] = a[which], b[which]
         return out
 
-    monkeypatch.setattr(ineq, "sample_points", sample)
+    monkeypatch.setattr(norms, "sample_points", sample)
     set_chunk_rows(monkeypatch, rows, spec.dim)
     res = ng.batch_min_slack(iq, spec, TRIALS, 3)
     assert res.trial_index == 6
@@ -85,11 +85,10 @@ STACK = 8192 * 256 * 8  # one 8192-row pair stack at d256: 16 MiB
 @pytest.mark.parametrize(
     "score",
     [
-        lambda spec: ineq._batch_block(InequalityId.MALIGRANDA_UPPER, spec, 3, 0, 0, 8192),
-        lambda spec: ineq._batch_block(InequalityId.LORCH, spec, 3, 0, 0, 8192),
+        lambda spec: ineq._batch_block(InequalityId.MALIGRANDA_UPPER, spec, 8192, 3, 0),
         lambda spec: ng.validate_norm_axioms(spec, 8192, 1),
     ],
-    ids=["maligranda", "lorch", "axioms"],
+    ids=["maligranda", "axioms"],
 )
 def test_one_block_peaks_under_two_and_a_half_pair_stacks(score):
     # The block's xs and ys take two stacks; every other temporary is

@@ -279,7 +279,7 @@ def test_bad_workers_are_rejected_before_any_process(workers, built):
     with pytest.raises(ng.NormGeoError, match="workers"):
         detect_inner_product(L1, TINY, workers=workers, side_budget=30)
     with pytest.raises(ng.NormGeoError, match="workers"):
-        ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, 100, 1, workers=workers)
+        ng.batch_min_slack(InequalityId.MALIGRANDA_UPPER, L1, 100, 1, workers=workers)
     assert built == []
 
 
@@ -303,7 +303,7 @@ _AFTER_THREADS = """
 import json, sys
 import normgeo as ng
 spec = ng.lp_norm(1, 2)
-ng.batch_min_slack(ng.InequalityId.ALPHA_BETA, spec, 40000, 5, workers=3)
+ng.batch_min_slack(ng.InequalityId.MALIGRANDA_UPPER, spec, 40000, 5, workers=3)
 cfg = ng.SearchConfig(dim=2, seed=17, restarts=4, iters_per_restart=200)
 verdict = ng.detect_inner_product(spec, cfg, workers=2, side_budget=200)
 json.dump(verdict.to_dict(), sys.stdout)

@@ -147,6 +147,12 @@ def test_convexity_defect_zero_direction():
     assert ng.convexity_defect(L2, [1.0, 1.0], [0.0, 0.0], grid) == 0.0
 
 
+def test_convexity_defect_near_the_float_limit_is_finite():
+    # n(a) = n(b) = 1e308 on the l_1 line t -> x + t*y; their sum overflows
+    defect = ng.convexity_defect(L1, [1e308, 0.0], [0.0, 1.0], [0.0, 1.0, 2.0])
+    assert defect == 0.0
+
+
 def test_convexity_defect_nonpositive_on_samples():
     grid = np.linspace(-2.0, 2.0, 101)
     for spec in family_specs(3):

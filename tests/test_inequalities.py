@@ -7,7 +7,7 @@ import pytest
 import normgeo as ng
 import normgeo.inequalities as ineq
 from normgeo.inequalities import CONDITIONAL_IDS, UNIVERSAL_IDS, InequalityId
-from normgeo.norms import sample_pair, stream
+from normgeo.norms import sample_pair, sample_points, stream
 from support import family_specs, random_spd, traced_peak
 
 L1 = ng.lp_norm(1, 2)
@@ -238,37 +238,41 @@ def test_batch_min_slack_universal_floor():
             assert 0 <= res.trial_index < 5000
 
 
-def test_batch_min_slack_finds_conditional_violations_on_l1():
-    for iq in CONDITIONAL_IDS:
-        res = ng.batch_min_slack(iq, L1, trials=20000, seed=5)
-        assert res.report.slack < 0.0, iq
-        assert res.min_normalized_slack < 0.0
+@pytest.mark.parametrize("iq", CONDITIONAL_IDS, ids=lambda iq: iq.value)
+def test_batch_min_slack_rejects_conditional_ids(iq):
+    with pytest.raises(ng.NormGeoError, match=f"^{iq.value} is conditional; violation_search"):
+        ng.batch_min_slack(iq, L1, trials=100, seed=5)
 
 
 def test_batch_witness_replays_exactly():
-    res = ng.batch_min_slack(InequalityId.N_ORDERING, L1, trials=4096, seed=3)
+    res = ng.batch_min_slack(InequalityId.ANGULAR_LOWER, L1, trials=4096, seed=3)
     w = res.report.witness
-    rep = ng.evaluate_inequality(
-        InequalityId.N_ORDERING, L1, w.x, w.y, t=w.t
-    )
+    assert w.t is None and w.gamma is None
+    rep = ng.evaluate_inequality(InequalityId.ANGULAR_LOWER, L1, w.x, w.y)
     assert rep.slack == res.report.slack
     assert rep.lhs == res.report.lhs
 
 
-def test_batch_lorch_pairs_are_equal_norm():
-    res = ng.batch_min_slack(InequalityId.LORCH, L1, trials=4096, seed=9)
-    w = res.report.witness
-    nx = ng.norm_eval(L1, w.x)
-    ny = ng.norm_eval(L1, w.y)
-    assert abs(nx - ny) <= 1e-9 * max(nx, ny)
-    assert w.gamma is not None and w.gamma != 0.0
+def test_batch_witness_is_the_pair_its_block_stream_draws():
+    # Block b of the sweep draws its xs, then its ys, from stream(seed, 1, b);
+    # trial i is row i % 8192 of block i // 8192, and the last block is short.
+    spec, trials, seed = ng.lp_norm(1, 3), 3 * 8192 + 17, 4
+    for iq in UNIVERSAL_IDS:
+        res = ng.batch_min_slack(iq, spec, trials=trials, seed=seed)
+        b, row = divmod(res.trial_index, 8192)
+        count = min(8192, trials - 8192 * b)
+        rng = stream(seed, 1, b)
+        xs = sample_points(3, rng, count)
+        ys = sample_points(3, rng, count)
+        w = res.report.witness
+        assert np.array_equal(w.x, xs[row]) and np.array_equal(w.y, ys[row]), iq
 
 
 def test_batch_determinism_and_worker_independence():
     kw = dict(trials=3 * 8192 + 17, seed=21)
-    a = ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, workers=1, **kw)
-    b = ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, workers=3, **kw)
-    c = ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, workers=1, **kw)
+    a = ng.batch_min_slack(InequalityId.MALIGRANDA_LOWER, L1, workers=1, **kw)
+    b = ng.batch_min_slack(InequalityId.MALIGRANDA_LOWER, L1, workers=3, **kw)
+    c = ng.batch_min_slack(InequalityId.MALIGRANDA_LOWER, L1, workers=1, **kw)
     assert a.to_dict() == b.to_dict() == c.to_dict()
 
 
@@ -276,7 +280,7 @@ def test_batch_input_validation():
     for trials, seed, name in ((0, 1, "trials"), (2.5, 1, "trials"), (True, 1, "trials"),
                                (100, -1, "seed"), (100, 1.5, "seed")):
         with pytest.raises(ng.NormGeoError, match=name):
-            ng.batch_min_slack(InequalityId.ALPHA_BETA, L1, trials=trials, seed=seed)
+            ng.batch_min_slack(InequalityId.MASSERA_SCHAFFER, L1, trials=trials, seed=seed)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -302,8 +306,8 @@ def test_threads_keep_a_bounded_number_of_blocks_in_flight(monkeypatch):
     # pool.map does, takes tens of MiB in futures alone.
     x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
-    def block(iq, spec, seed, block_index, start, count):
-        return 0.0, start, x, y, None, None, 0.0
+    def block(iq, spec, trials, seed, b):
+        return 0.0, b * 8192, x, y, 0.0
 
     monkeypatch.setattr(ineq, "_batch_block", block)
     res = []

@@ -13,6 +13,7 @@ import pytest
 
 import normgeo as ng
 import normgeo.detect as det
+import normgeo.norms as norms
 from normgeo.inequalities import CONDITIONAL_IDS, InequalityId
 from normgeo.norms import norm_eval, sample_points, stream
 from support import random_spd
@@ -356,7 +357,7 @@ def test_blocked_side_check_matches_unblocked_selection(spec, monkeypatch):
     # or below the 1e-12 floor and are skipped
     # 5 blocks of at most 7 pairs, so the running top 8 merges across blocks
     monkeypatch.setattr(det, "_SIDE_BUDGET", SIDE_BUDGET)
-    monkeypatch.setattr(det, "_BLOCK", 7)
+    monkeypatch.setattr(norms, "_BLOCK", 7)
     starts = []
     engine = det._compass_search
 
