@@ -23,6 +23,7 @@ from .inequalities import (
     Witness,
     _batch_lhs_rhs,
     _norm_rows,
+    _parse_id,
 )
 from .norms import (
     _RADIUS_RANGE,
@@ -296,7 +297,7 @@ def violation_search(spec, objective, config):
     restart's point put through the search's own decoder, so it replays
     to the reported slack bit for bit.
     """
-    objective = InequalityId(objective)
+    objective = _parse_id(objective)
     if objective not in CONDITIONAL_IDS:
         raise NormGeoError(f"{objective.value} is universal; nothing to search")
     _check_dim(spec, config)

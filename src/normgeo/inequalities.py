@@ -81,7 +81,7 @@ class InequalityReport(_Report):
 
 def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     """Evaluate one inequality at a concrete witness and report the slack."""
-    iq = InequalityId(iq)
+    iq = _parse_id(iq)
     x, y = _vector_pair(spec, x, y)
     if iq is InequalityId.N_ORDERING:
         if t is None:
@@ -125,14 +125,56 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     )
 
 
+def _parse_id(iq):
+    """The InequalityId that iq (an id or its name) stands for; anything else
+    raises NormGeoError naming the valid ids."""
+    try:
+        return InequalityId(iq)
+    except ValueError:
+        valid = ", ".join(i.value for i in InequalityId)
+        raise NormGeoError(f"unknown inequality id {iq!r}; expected one of {valid}") from None
+
+
+def _unit_rows(spec, xs, ys, asked):
+    """||x||, ||y||, x/||x|| and y/||y|| row by row; a zero x or y row raises
+    ZeroVectorError naming `asked`, the inequality that needed them."""
+    nx = _norm_rows(spec, xs)
+    ny = _norm_rows(spec, ys)
+    if not ((nx > 0.0) & (ny > 0.0)).all():
+        raise ZeroVectorError(f"{asked} needs nonzero x and y")
+    return nx, ny, xs / nx[:, None], ys / ny[:, None]
+
+
+def _universal_lhs_rhs(spec, xs, ys, asked="every universal inequality"):
+    """The (lhs, rhs) rows of all six universal inequalities, in UNIVERSAL_IDS
+    order, with each norm and each min or max computed once for all six."""
+    nx, ny, u, v = _unit_rows(spec, xs, ys, asked)
+    n_sum = _norm_rows(spec, xs + ys)
+    n_diff = _norm_rows(spec, xs - ys)
+    n_usum = _norm_rows(spec, u + v)
+    alpha = _norm_rows(spec, u - v)
+    lo = np.minimum(nx, ny)
+    hi = np.maximum(nx, ny)
+    gap = np.abs(nx - ny)
+    return (
+        (n_sum, nx + ny - (2.0 - n_usum) * lo),  # MALIGRANDA_UPPER
+        (nx + ny - (2.0 - n_usum) * hi, n_sum),  # MALIGRANDA_LOWER
+        ((n_diff - gap) / lo, alpha),  # ANGULAR_LOWER
+        (alpha, (n_diff + gap) / hi),  # ANGULAR_UPPER
+        (alpha, 2.0 * n_diff / hi),  # MASSERA_SCHAFFER
+        (alpha, 4.0 * n_diff / (nx + ny)),  # DUNKL_WILLIAMS_4
+    )
+
+
 def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
     """Formula table over (rows, dim) stacks: returns the lhs and rhs rows.
 
     The searches, the sampled sweeps and evaluate_inequality (a 1-row
     stack) all land here, and the norm kernel gives a row the same bits
-    in any stack, so every reported value replays exactly. Callers own
-    argument validation; a zero x or y row raises ZeroVectorError for
-    the inequalities that normalize by ||x|| and ||y||.
+    in any stack, so every reported value replays exactly. The six
+    universal inequalities come from one shared table, _universal_lhs_rhs.
+    Callers own argument validation; a zero x or y row raises
+    ZeroVectorError for the inequalities that normalize by ||x|| and ||y||.
     """
     if iq is InequalityId.N_ORDERING:
         nx = _norm_rows(spec, xs)
@@ -148,36 +190,13 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
             _norm_rows(spec, xs + ys),
             _norm_rows(spec, g * xs + (1.0 / g) * ys),
         )
-    nx = _norm_rows(spec, xs)
-    ny = _norm_rows(spec, ys)
-    if not ((nx > 0.0) & (ny > 0.0)).all():
-        raise ZeroVectorError(f"{iq.value} needs nonzero x and y")
-    u = xs / nx[:, None]
-    v = ys / ny[:, None]
-    if iq is InequalityId.MALIGRANDA_UPPER:
-        return (
-            _norm_rows(spec, xs + ys),
-            nx + ny - (2.0 - _norm_rows(spec, u + v)) * np.minimum(nx, ny),
-        )
-    if iq is InequalityId.MALIGRANDA_LOWER:
-        return (
-            nx + ny - (2.0 - _norm_rows(spec, u + v)) * np.maximum(nx, ny),
-            _norm_rows(spec, xs + ys),
-        )
-    alpha = _norm_rows(spec, u - v)
-    if iq is InequalityId.ANGULAR_LOWER:
-        lhs = (_norm_rows(spec, xs - ys) - np.abs(nx - ny)) / np.minimum(nx, ny)
-        return lhs, alpha
-    if iq is InequalityId.ANGULAR_UPPER:
-        rhs = (_norm_rows(spec, xs - ys) + np.abs(nx - ny)) / np.maximum(nx, ny)
-        return alpha, rhs
-    if iq is InequalityId.MASSERA_SCHAFFER:
-        return alpha, 2.0 * _norm_rows(spec, xs - ys) / np.maximum(nx, ny)
-    if iq is InequalityId.DUNKL_WILLIAMS_4:
-        return alpha, 4.0 * _norm_rows(spec, xs - ys) / (nx + ny)
     if iq is InequalityId.ALPHA_BETA:
-        return alpha, _norm_rows(spec, xs / ny[:, None] - ys / nx[:, None])
-    raise NormGeoError(f"unknown inequality id {iq!r}")
+        nx, ny, u, v = _unit_rows(spec, xs, ys, iq.value)
+        return (
+            _norm_rows(spec, u - v),
+            _norm_rows(spec, xs / ny[:, None] - ys / nx[:, None]),
+        )
+    return _universal_lhs_rhs(spec, xs, ys, iq.value)[UNIVERSAL_IDS.index(iq)]
 
 
 @dataclass(frozen=True)
@@ -192,21 +211,24 @@ class BatchResult(_Report):
         return {**out.pop("report"), **out}
 
 
-def _batch_block(iq, spec, trials, seed, b):
-    """Block b of a sweep of one universal inequality: its least slack, the
-    trial index and pair (copies) that reach it, and its least normalized
-    slack."""
+def _batch_block(spec, trials, seed, b):
+    """Block b of the universal sweep, scored for all six inequalities: for
+    each, in UNIVERSAL_IDS order, its least slack, the trial index and pair
+    (copies) that reach it, and its least normalized slack."""
     start, _, xs, ys = _pair_block(spec.dim, trials, seed, _BATCH_STREAM, b)
-    # scored in chunks: only the pair stacks and these two rows span the block
-    slack = np.empty(len(xs))
-    normalized = np.empty(len(xs))
+    # scored in chunks: only the pair stacks and these rows span the block
+    slack = np.empty((len(UNIVERSAL_IDS), len(xs)))
+    normalized = np.empty_like(slack)
     for sl in _chunks(len(xs), spec.dim):
-        lhs, rhs = _batch_lhs_rhs(iq, spec, xs[sl], ys[sl])
-        slack[sl] = rhs - lhs
-        normalized[sl] = slack[sl] / (1.0 + np.abs(lhs) + np.abs(rhs))
-    i = int(np.argmin(slack))
+        for k, (lhs, rhs) in enumerate(_universal_lhs_rhs(spec, xs[sl], ys[sl])):
+            slack[k, sl] = rhs - lhs
+            normalized[k, sl] = slack[k, sl] / (1.0 + np.abs(lhs) + np.abs(rhs))
+    # argmin takes the first minimum, so a tie goes to the earliest trial;
     # copies: a view would keep the block's whole xs and ys stacks alive
-    return float(slack[i]), start + i, xs[i].copy(), ys[i].copy(), float(normalized.min())
+    return [
+        (float(slack[k, i]), start + int(i), xs[i].copy(), ys[i].copy(), float(least))
+        for k, (i, least) in enumerate(zip(np.argmin(slack, axis=1), normalized.min(axis=1)))
+    ]
 
 
 def _map_in_order(pool, fn, items, window):
@@ -230,46 +252,69 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def batch_min_slack(iq, spec, trials, seed, workers=1):
-    """Sample trials random pairs and return the report with minimal slack
-    for one of the six universal inequalities; violation_search searches
-    the three conditional ones.
+# The last sweep: ((spec, trials, seed, workers), its six folded winners).
+# Specs are frozen and compared by identity. One entry, replaced whole, so a
+# racing thread at worst runs a sweep twice.
+_last_sweep = None
 
-    Trials are split into fixed-size blocks, each with its own seed-derived
-    stream, so the result is byte-identical for any worker count. Ties go to
-    the earliest trial. Each block is folded into a running best as it
-    returns. The blocks run on min(workers, blocks, usable CPUs) threads,
-    which keep at most twice their number of blocks submitted, so memory
-    grows with neither trials nor workers.
-    """
-    iq = InequalityId(iq)
-    if iq not in UNIVERSAL_IDS:
-        raise NormGeoError(f"{iq.value} is conditional; violation_search searches it")
-    _check_count("workers", workers)
-    _check_count("trials", trials)
-    _check_count("seed", seed, 0)
+
+def _sweep(spec, trials, seed, workers):
+    """Fold every block of the sweep into each universal inequality's winner:
+    (trial index, x, y, least normalized slack), in UNIVERSAL_IDS order."""
 
     def run(b):
-        return _batch_block(iq, spec, trials, seed, b)
+        return _batch_block(spec, trials, seed, b)
 
     def fold(results):
         # blocks arrive in order, so a strict < keeps the earliest of a tie
-        best = None
-        min_norm_slack = math.inf
-        for res in results:
-            min_norm_slack = min(min_norm_slack, res[-1])
-            if best is None or res[0] < best[0]:
-                best = res
-        return best, min_norm_slack
+        best = [None] * len(UNIVERSAL_IDS)
+        min_norm_slack = [math.inf] * len(UNIVERSAL_IDS)
+        for block in results:
+            for k, res in enumerate(block):
+                min_norm_slack[k] = min(min_norm_slack[k], res[-1])
+                if best[k] is None or res[0] < best[k][0]:
+                    best[k] = res
+        return [(index, x, y, m) for (_, index, x, y, _), m in zip(best, min_norm_slack)]
 
     blocks = _blocks(trials)
     threads = min(workers, len(blocks), _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            best, min_norm_slack = fold(_map_in_order(pool, run, blocks, 2 * threads))
+            return fold(_map_in_order(pool, run, blocks, 2 * threads))
+    return fold(map(run, blocks))
+
+
+def batch_min_slack(iq, spec, trials, seed, workers=1):
+    """Sample trials random pairs and return the report with minimal slack
+    for one of the six universal inequalities; violation_search searches
+    the three conditional ones.
+
+    One sweep scores all six inequalities on each block it draws, and the
+    last sweep is kept for the next call with the same spec object, trials,
+    seed and workers, so asking for the six ids in turn draws and scores
+    each block once. Trials are split into fixed-size blocks, each with its
+    own seed-derived stream, so the result is byte-identical for any worker
+    count. Ties go to the earliest trial. Each block is folded into a
+    running best as it returns. The blocks run on min(workers, blocks,
+    usable CPUs) threads, which keep at most twice their number of blocks
+    submitted, so memory grows with neither trials nor workers.
+    """
+    global _last_sweep
+    iq = _parse_id(iq)
+    if iq not in UNIVERSAL_IDS:
+        raise NormGeoError(f"{iq.value} is conditional; violation_search searches it")
+    _check_count("workers", workers)
+    _check_count("trials", trials)
+    _check_count("seed", seed, 0)
+    key = (trials, seed, workers)
+    memo = _last_sweep
+    if memo is not None and memo[0][0] is spec and memo[0][1:] == key:
+        winners = memo[1]
     else:
-        best, min_norm_slack = fold(map(run, blocks))
-    _, index, x, y, _ = best
+        winners = _sweep(spec, trials, seed, workers)
+        _last_sweep = ((spec, *key), winners)
+    index, x, y, min_norm_slack = winners[UNIVERSAL_IDS.index(iq)]
+    # the replay copies x and y, so no two calls share a witness array
     report = evaluate_inequality(iq, spec, x, y)
     return BatchResult(
         report=report,

@@ -1,4 +1,16 @@
+import pytest
+
+import normgeo.inequalities as ineq
 import support
+
+
+@pytest.fixture(autouse=True)
+def fresh_sweep_memo():
+    # batch_min_slack keeps the last sweep; a test that patches the sampler
+    # or the kernel must not leave its result behind for the next test
+    ineq._last_sweep = None
+    yield
+    ineq._last_sweep = None
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -306,8 +306,8 @@ def test_threads_keep_a_bounded_number_of_blocks_in_flight(monkeypatch):
     # pool.map does, takes tens of MiB in futures alone.
     x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
-    def block(iq, spec, trials, seed, b):
-        return 0.0, b * 8192, x, y, 0.0
+    def block(spec, trials, seed, b):
+        return [(0.0, b * 8192, x, y, 0.0)] * len(UNIVERSAL_IDS)
 
     monkeypatch.setattr(ineq, "_batch_block", block)
     res = []
@@ -363,3 +363,20 @@ def test_sweep_threads_are_capped_by_workers_blocks_and_cpus(monkeypatch):
             assert sweep(blocks, workers) == serial
     # one block runs in this thread; 3 blocks take 3 threads, 6 blocks the 4 CPUs
     assert built == [3, 2, 4, 2]
+
+
+@pytest.mark.parametrize("bad", ["FOO", None, 3], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda iq: ng.batch_min_slack(iq, L1, trials=100, seed=5),
+        lambda iq: ng.evaluate_inequality(iq, L1, XC, YC),
+        lambda iq: ng.violation_search(
+            L1, iq, ng.SearchConfig(dim=2, seed=1, restarts=2, iters_per_restart=10)
+        ),
+    ],
+    ids=["batch_min_slack", "evaluate_inequality", "violation_search"],
+)
+def test_unknown_id_raises_the_package_error_naming_the_valid_ids(call, bad):
+    with pytest.raises(ng.NormGeoError, match=r"unknown inequality id .*MALIGRANDA_UPPER.*LORCH"):
+        call(bad)
