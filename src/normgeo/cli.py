@@ -172,8 +172,9 @@ def _build_parser():
                 type=int,
                 default=1,
                 help="inequalities: threads for the sample blocks; detect: "
-                "forked processes for its five searches, at most 5, where the "
-                "platform can fork (no output effect)",
+                "forked processes for its four parts (three searches, side "
+                "checks), at most 4, where the platform can fork (no output "
+                "effect)",
             )
         p.add_argument("--out", help="also write the report here (atomic)")
 

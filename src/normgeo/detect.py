@@ -97,22 +97,25 @@ class SearchResult(_Report):
     budget_stops: int
 
 
-def _compass_search(fn, p0, max_evals, lo, hi, project):
+def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
-    fn(q) scores an (m, n) stack q of points. Each row follows the
-    trajectory a lone search from it would: poll the 2n points +-step
-    along each coordinate in order, +step before -step; take the first
-    sufficient improvement and go on to the next coordinate; halve the
-    step (from 0.25) after a sweep without one. A poll value v improves
-    on the best b only if v > b + 1e-4 * step**2 + 1e-12 * (1 + |b|): a
-    decrease of order step**2 (Kolda, Lewis & Torczon, SIAM Review 45(3),
-    2003) and a relative rounding-noise floor. A best of -inf takes any
-    finite value. A poll is clamped to [lo, hi] and projected into the
-    feasible set (project must keep a point inside [lo, hi]); one that
-    leaves its own coordinate unchanged is skipped and costs no
-    evaluation. A row stops when its step drops below 1e-9 or its budget
-    runs out.
+    fn(q) scores an (m, n) stack q of points. Given per-row labels, the
+    engine calls fn(q, labels) instead, with the label of the row each
+    point belongs to; a stack lists its points in row order, so labels
+    that do not decrease down p0 do not decrease down q either. Each row
+    follows the trajectory a lone search from it would: poll the 2n
+    points +-step along each coordinate in order, +step before -step;
+    take the first sufficient improvement and go on to the next
+    coordinate; halve the step (from 0.25) after a sweep without one. A
+    poll value v improves on the best b only if v > b + 1e-4 * step**2 +
+    1e-12 * (1 + |b|): a decrease of order step**2 (Kolda, Lewis &
+    Torczon, SIAM Review 45(3), 2003) and a relative rounding-noise floor.
+    A best of -inf takes any finite value. A poll is clamped to [lo, hi]
+    and projected into the feasible set (project must keep a point inside
+    [lo, hi]); one that leaves its own coordinate unchanged is skipped and
+    costs no evaluation. A row stops when its step drops below 1e-9 or its
+    budget runs out.
 
     Each tick stacks, for every live row, the rest of its current sweep
     into one fn call: every poll from the current point that is not
@@ -121,103 +124,136 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     moved point, so their values are discarded and never counted as
     evaluations. fn gives a row the same value in any stack, so every row
     ends exactly where the one-poll-at-a-time search would, after about
-    one tick per move or sweep instead of one per evaluation. A tick
-    splits its rows over several fn calls only when their stencils would
-    pass _STENCIL_CELLS doubles together. Returns the best values, points
-    and evaluations per row.
+    one tick per move or sweep instead of one per evaluation, whichever
+    rows share the call. A tick splits its rows over several fn calls only
+    when their stencils would pass _STENCIL_CELLS doubles together.
+    Returns the best values, points and evaluations per row.
     """
     p = project(np.clip(p0, lo, hi))
     count, n = p.shape
-    best = fn(p)
+    best = fn(p) if labels is None else fn(p, labels)
     evals = np.ones(count, dtype=np.int64)
-    step = np.full(count, _STEP_INIT)
-    pos = np.zeros(count, dtype=np.int64)  # next poll: 2 * coordinate + (0: +step, 1: -step)
-    improved = np.zeros(count, dtype=bool)
-    polls = np.arange(2 * n)
+    width = 2 * n
+    polls = np.arange(width)
     coord = polls // 2
+    copies = np.tile(np.arange(n), width)  # a row's stencil: its point 2n times over
+    cells = polls * n + coord  # each poll's moved cell in a row's stencil
     sign = np.where(polls % 2 == 0, 1.0, -1.0)
-    chunk = max(1, _STENCIL_CELLS // (2 * n * n))
-    live = np.flatnonzero(evals < max_evals)
-    while live.size:
-        for start in range(0, live.size, chunk):
-            rows = live[start : start + chunk]
-            m = rows.size
-            base = p[rows]
-            cand = np.repeat(base[:, None], 2 * n, axis=1)
-            # p is inside [lo, hi], so clamping a poll clamps its own coordinate
-            cand[:, polls, coord] = np.clip(
-                base[:, coord] + sign * step[rows, None], lo[coord], hi[coord]
-            )
-            cand = project(cand.reshape(-1, n))
-            moves = cand.reshape(m, 2 * n, n)[:, polls, coord] != base[:, coord]
-            active = (polls >= pos[rows, None]) & moves
+    after = coord * 2 + 2  # where a sweep goes on after a move by each poll
+    lo_c, hi_c = lo[coord], hi[coord]
+    clamp = bool(np.isfinite(lo_c).any() or np.isfinite(hi_c).any())
+    chunk = max(1, _STENCIL_CELLS // (width * n))
+    # The live rows' state, kept compact: a tick reads and writes it in
+    # place, and rows leave it only when they stop. delta holds each
+    # row's signed poll steps, tol its 1e-4 * step**2 and need the value a
+    # poll must beat; they change only when the row's best or step does.
+    ids = np.flatnonzero(evals < max_evals)
+    at, val, used = p[ids], best[ids], evals[ids]
+    step = np.full(ids.size, _STEP_INIT)
+    delta = sign * step[:, None]
+    tol = _DECREASE_RHO * (step * step)
+    need = _sufficient(val, tol)
+    pos = np.zeros(ids.size, dtype=np.int64)  # next poll: 2 * coordinate + (0: +step, 1: -step)
+    improved = np.zeros(ids.size, dtype=bool)
+    tag = None if labels is None else labels[ids]
+    while ids.size:
+        for start in range(0, ids.size, chunk):
+            rows = slice(start, start + chunk)
+            base = at[rows]
+            m = len(base)
+            old = base.take(coord, axis=1)
+            new = old + delta[rows]
+            stencil = base.take(copies, axis=1)
+            # the point is inside [lo, hi], so clamping a poll clamps its own coordinate
+            stencil[:, cells] = np.clip(new, lo_c, hi_c) if clamp else new
+            flat = project(stencil.reshape(-1, n))
+            active = flat.reshape(m, -1).take(cells, axis=1) != old
+            active &= polls >= pos[rows, None]
             rank = active.cumsum(axis=1)
-            room = max_evals - evals[rows]
+            room = max_evals - used[rows]
             kept = np.flatnonzero(active & (rank <= room[:, None]))
-            vals = np.full(m * 2 * n, -math.inf)
+            vals = np.full((m, width), -math.inf)
             if kept.size:
-                vals[kept] = fn(cand[kept])
-            need = _sufficient(best[rows], step[rows])
-            better = vals.reshape(m, 2 * n) > need[:, None]
-            hit = better.any(axis=1)
+                q = flat.take(kept, axis=0)
+                vals.flat[kept] = fn(q) if tag is None else fn(q, tag[rows].take(kept // width))
+            better = vals > need[rows, None]
             first = better.argmax(axis=1)
-            evals[rows] += np.where(
-                hit, rank[np.arange(m), first], np.minimum(rank[:, -1], room)
-            )
-            moved, at = rows[hit], np.flatnonzero(hit) * 2 * n + first[hit]
-            p[moved] = cand[at]
-            best[moved] = vals[at]
-            improved[moved] = True
-            pos[moved] = first[hit] // 2 * 2 + 2
-            pos[rows[~hit]] = 2 * n
-        live = live[evals[live] < max_evals]
-        wrap = live[pos[live] == 2 * n]
-        step[wrap] = np.where(improved[wrap], step[wrap], step[wrap] * _STEP_SHRINK)
-        improved[wrap] = False
+            last = np.minimum(rank[:, -1], room)
+            pos[rows] = width
+            r = np.flatnonzero(better.any(axis=1))
+            if r.size:
+                f = first[r]
+                k = r * width + f
+                last[r] = rank.take(k)
+                moved = start + r
+                at[moved] = flat.take(k, axis=0)
+                val[moved] = vals.take(k)
+                improved[moved] = True
+                pos[moved] = after.take(f)
+                need[moved] = _sufficient(val[moved], tol[moved])
+            used[rows] += last
+        wrap = pos == width
+        shrink = wrap & ~improved
+        if shrink.any():
+            step[shrink] *= _STEP_SHRINK
+            delta[shrink] = sign * step[shrink, None]
+            tol[shrink] = _DECREASE_RHO * (step[shrink] * step[shrink])
+            need[shrink] = _sufficient(val[shrink], tol[shrink])
+        improved &= ~wrap
         pos[wrap] = 0
-        live = live[step[live] >= _STEP_FLOOR]
+        alive = (used < max_evals) & (step >= _STEP_FLOOR)
+        if not alive.all():
+            done = ids[~alive]
+            best[done], p[done], evals[done] = val[~alive], at[~alive], used[~alive]
+            ids, at, val, used, step, delta, tol, need, pos, improved = (
+                a[alive] for a in (ids, at, val, used, step, delta, tol, need, pos, improved)
+            )
+            tag = None if tag is None else tag[alive]
     return best, p, evals
 
 
-def _sufficient(best, step):
+def _sufficient(best, tol):
     """The value a poll must beat, per row, under the sufficient-decrease
-    rule; -inf where the best is -inf (never -inf + inf)."""
+    rule, given tol = 1e-4 * step**2; -inf where the best is -inf (never
+    -inf + inf)."""
     size = np.abs(np.where(np.isinf(best), 0.0, best))
-    return best + _DECREASE_RHO * (step * step) + _NOISE_REL * (1.0 + size)
+    return best + tol + _NOISE_REL * (1.0 + size)
 
 
 def _decode_points(spec, objective, q):
-    """The pairs a parameter stack q stands for: (ok, xs, ys, ts, gammas).
+    """The pairs a parameter stack q stands for: (ok, xs, ys, ts, gammas,
+    norms).
 
     Each row is x, y and, for N_ORDERING and LORCH, one more coordinate:
     t itself, or log|gamma|. ALPHA_BETA and LORCH rows count (ok) only if
-    ||x|| and ||y|| both exceed 1e-12. LORCH rescales y to ||x|| on those
-    rows and keeps the raw y on the rest; its gamma is the positive
-    exp(q[-1]), because negating gamma negates gamma*x + y/gamma and
-    leaves its norm, and so the slack, unchanged.
+    ||x|| and ||y|| both exceed 1e-12; for ALPHA_BETA, norms holds those
+    ||x|| and ||y|| rows, for the formula table to reuse. LORCH rescales y
+    to ||x|| on the rows that count and keeps the raw y on the rest; its
+    gamma is the positive exp(q[-1]), because negating gamma negates
+    gamma*x + y/gamma and leaves its norm, and so the slack, unchanged.
     """
     d = spec.dim
     xs, ys = q[:, :d], q[:, d : 2 * d]
     if objective is InequalityId.N_ORDERING:
-        return np.ones(len(q), dtype=bool), xs, ys, q[:, -1], None
+        return np.ones(len(q), dtype=bool), xs, ys, q[:, -1], None, None
     nx = _norm_rows(spec, xs)
     ny = _norm_rows(spec, ys)
     ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR)
     if objective is InequalityId.ALPHA_BETA:
-        return ok, xs, ys, None, None
+        return ok, xs, ys, None, None, (nx, ny)
     scale = np.ones(len(q))
     scale[ok] = nx[ok] / ny[ok]
     ys = ys * scale[:, None]
     # math.exp, not np.exp, so a witness's gamma replays to the bit; a
     # stack repeats each restart's log-gamma in all but two of its polls.
     logs, back = np.unique(q[:, -1], return_inverse=True)
-    return ok, xs, ys, None, np.array([math.exp(v) for v in logs.tolist()])[back]
+    return ok, xs, ys, None, np.array([math.exp(v) for v in logs.tolist()])[back], None
 
 
 def _score_points(spec, objective, q):
     """-slack of each parameter row (higher = worse violation); rows the
     decoder does not count score -inf."""
-    ok, xs, ys, ts, gammas = _decode_points(spec, objective, q)
+    ok, xs, ys, ts, gammas, norms = _decode_points(spec, objective, q)
     rows = slice(None) if ok.all() else ok  # a slice takes views, not copies
     lhs, rhs = _batch_lhs_rhs(
         objective,
@@ -226,6 +262,7 @@ def _score_points(spec, objective, q):
         ys[rows],
         ts=None if ts is None else ts[rows],
         gammas=None if gammas is None else gammas[rows],
+        norms=None if norms is None else tuple(v[rows] for v in norms),
     )
     out = np.full(len(q), -math.inf)
     out[rows] = lhs - rhs
@@ -304,7 +341,7 @@ def violation_search(spec, objective, config):
     vals, points, signs, evals = _search_restarts(spec, objective, config)
     r_best = int(np.argmax(vals))
     val = float(vals[r_best])
-    _, xs, ys, ts, gammas = _decode_points(spec, objective, points[r_best : r_best + 1])
+    _, xs, ys, ts, gammas, _ = _decode_points(spec, objective, points[r_best : r_best + 1])
     witness = Witness(
         x=xs[0].copy(),
         y=ys[0].copy(),
@@ -340,30 +377,72 @@ class RefinedMaxResult(_Report):
         return {"value": out.pop("value"), "witness": witness, **out}
 
 
-def _refine_pairs(spec, budget, seed, tag, batch_fn):
-    """Sample `budget` pairs, score them with batch_fn, refine the best few
-    with the same compass search the violation searches use, and return
-    the best pair found as a RefinedMaxResult.
+def _dw_values(spec, xs, ys, nx, ny, nd):
+    """c(x, y) = alpha * (||x||+||y||) / ||x-y|| of each row, from its
+    ||x||, ||y|| and ||x-y||; -inf on the rows the DW estimate skips."""
+    s = nx + ny
+    ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR) & (nd >= _DW_SEPARATION_REL * s)
+    nx, ny, nd = (np.where(ok, v, 1.0) for v in (nx, ny, nd))
+    alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
+    return np.where(ok, alpha * s / nd, -math.inf)
 
-    Pairs are drawn block by block (norms._pair_block on stream tag) and
-    scored in chunks, so memory stays bounded for any budget. A running top
+
+def _pg_values(spec, xs, ys, nx, ny, nd):
+    """The relative parallelogram defect of each row, from its ||x||, ||y||
+    and ||x-y||; -inf where n(x)^2 + n(y)^2 is at most 1e-24."""
+    ns = _norm_rows(spec, xs + ys)
+    den = nx * nx + ny * ny
+    num = np.abs(ns * ns + nd * nd - 2.0 * nx * nx - 2.0 * ny * ny)
+    ok = den > 1e-24
+    return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
+
+
+# The side checks: each draws its pairs from its own stream tag.
+_DW = (_DW_STREAM, _dw_values)
+_PG = (_PG_STREAM, _pg_values)
+
+
+def _side_values(spec, checks, owner, xs, ys):
+    """Each row's value under its own side check: checks[owner[i]] scores
+    row i (with one check, owner is not read). owner is non-decreasing
+    (one check's rows, then the next's), so each check scores a slice of
+    the stack, without copies. ||x||, ||y|| and ||x-y|| are computed once
+    for all the checks."""
+    nx = _norm_rows(spec, xs)
+    ny = _norm_rows(spec, ys)
+    nd = _norm_rows(spec, xs - ys)
+    if len(checks) == 1:
+        return checks[0][1](spec, xs, ys, nx, ny, nd)
+    out = np.empty(len(xs))
+    cuts = np.searchsorted(owner, np.arange(len(checks) + 1)).tolist()
+    for (_, values), a, b in zip(checks, cuts, cuts[1:]):
+        if a < b:
+            rows = slice(a, b)
+            out[rows] = values(spec, xs[rows], ys[rows], nx[rows], ny[rows], nd[rows])
+    return out
+
+
+def _top_pairs(spec, budget, seed, check):
+    """Sample `budget` pairs on the check's stream and keep the best few:
+    (scores, xs, ys, first pair, skipped).
+
+    Pairs are drawn block by block (norms._pair_block) and scored in
+    chunks, so memory stays bounded for any budget. A running top
     _REFINE_TOP keeps the best finite scores, ties going to the earliest
     pair.
     """
     dim = spec.dim
-    _check_count("budget", budget)
-    _check_count("seed", seed, 0)
     top_s = np.empty(0)
     top_x = top_y = np.empty((0, dim))
     skipped = 0
     for b in _blocks(budget):
-        _, _, xs, ys = _pair_block(dim, budget, seed, tag, b)
+        _, _, xs, ys = _pair_block(dim, budget, seed, check[0], b)
         if b == 0:
             # copies: views would pin block 0's whole stacks
             first = (xs[0].copy(), ys[0].copy())
         scores = np.empty(len(xs))
         for sl in _chunks(len(xs), dim):
-            scores[sl] = batch_fn(xs[sl], ys[sl])
+            scores[sl] = _side_values(spec, (check,), None, xs[sl], ys[sl])
         skipped += int(np.isneginf(scores).sum())
         # stable: earlier pairs come first, so they win ties; a row outside
         # its block's own top cannot enter the running top
@@ -374,25 +453,52 @@ def _refine_pairs(spec, budget, seed, tag, batch_fn):
         order = np.argsort(-top_s, kind="stable")[:_REFINE_TOP]
         order = order[np.isfinite(top_s[order])]
         top_s, top_x, top_y = top_s[order], top_x[order], top_y[order]
-    if not top_s.size:
-        return RefinedMaxResult(-math.inf, *first, budget, 0, skipped)
-    best_val = float(top_s[0])
-    best_pair = (top_x[0], top_y[0])
-    vals, points, evals = _compass_search(
-        lambda q: batch_fn(q[:, :dim], q[:, dim:]),
-        np.concatenate([top_x, top_y], axis=1),
-        _SIDE_BUDGET,
-        np.full(2 * dim, -math.inf),
-        np.full(2 * dim, math.inf),
-        _make_project(dim),
-    )
-    for val, p in zip(vals, points):
-        if val > best_val:
-            best_val = float(val)
-            best_pair = (p[:dim].copy(), p[dim:].copy())
-    stops = int((evals >= _SIDE_BUDGET).sum())
-    evals = budget + int(evals.sum())
-    return RefinedMaxResult(best_val, *best_pair, evals, stops, skipped)
+    return top_s, top_x, top_y, first, skipped
+
+
+def _refine_pairs(spec, budget, seed, checks):
+    """Run each side check in checks and return one RefinedMaxResult per
+    check, in order.
+
+    Each check samples `budget` pairs on its own stream and keeps its best
+    few (_top_pairs). Then one compass search, the engine the violation
+    searches use, refines every check's kept pairs at once, each row scored
+    by its own check; a row's trajectory does not depend on the rows
+    beside it, so each check reports the same bits as when run alone.
+    """
+    dim = spec.dim
+    _check_count("budget", budget)
+    _check_count("seed", seed, 0)
+    tops = [_top_pairs(spec, budget, seed, check) for check in checks]
+    # one check's kept pairs after another, so owner does not decrease
+    owner = np.concatenate([np.full(len(top_s), k) for k, (top_s, *_) in enumerate(tops)])
+    starts = np.concatenate([np.concatenate([xs, ys], axis=1) for _, xs, ys, *_ in tops])
+    if owner.size:
+        vals, points, evals = _compass_search(
+            lambda q, own: _side_values(spec, checks, own, q[:, :dim], q[:, dim:]),
+            starts,
+            _SIDE_BUDGET,
+            np.full(2 * dim, -math.inf),
+            np.full(2 * dim, math.inf),
+            _make_project(dim),
+            owner,
+        )
+    results = []
+    for k, (top_s, top_x, top_y, first, skipped) in enumerate(tops):
+        if not top_s.size:
+            results.append(RefinedMaxResult(-math.inf, *first, budget, 0, skipped))
+            continue
+        best_val = float(top_s[0])
+        best_pair = (top_x[0], top_y[0])
+        mine = owner == k
+        for val, p in zip(vals[mine], points[mine]):
+            if val > best_val:
+                best_val = float(val)
+                best_pair = (p[:dim].copy(), p[dim:].copy())
+        stops = int((evals[mine] >= _SIDE_BUDGET).sum())
+        used = budget + int(evals[mine].sum())
+        results.append(RefinedMaxResult(best_val, *best_pair, used, stops, skipped))
+    return results
 
 
 def dw_constant_estimate(spec, budget, seed):
@@ -404,18 +510,7 @@ def dw_constant_estimate(spec, budget, seed):
     through. The true constant can only be larger. Equals 2 for
     inner-product norms, at most 4 for any norm.
     """
-
-    def batch_fn(xs, ys):
-        nx = _norm_rows(spec, xs)
-        ny = _norm_rows(spec, ys)
-        d = _norm_rows(spec, xs - ys)
-        s = nx + ny
-        ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR) & (d >= _DW_SEPARATION_REL * s)
-        nx, ny, d = (np.where(ok, v, 1.0) for v in (nx, ny, d))
-        alpha = _norm_rows(spec, xs / nx[:, None] - ys / ny[:, None])
-        return np.where(ok, alpha * s / d, -math.inf)
-
-    return _refine_pairs(spec, budget, seed, _DW_STREAM, batch_fn)
+    return _refine_pairs(spec, budget, seed, (_DW,))[0]
 
 
 def parallelogram_defect_search(spec, budget, seed):
@@ -424,18 +519,7 @@ def parallelogram_defect_search(spec, budget, seed):
     defect = |n(x+y)^2 + n(x-y)^2 - 2n(x)^2 - 2n(y)^2| / (n(x)^2 + n(y)^2).
     Independent of the inequality catalog; used as a cross-check oracle.
     """
-
-    def batch_fn(xs, ys):
-        nx = _norm_rows(spec, xs)
-        ny = _norm_rows(spec, ys)
-        np_ = _norm_rows(spec, xs + ys)
-        nm = _norm_rows(spec, xs - ys)
-        den = nx * nx + ny * ny
-        num = np.abs(np_ * np_ + nm * nm - 2.0 * nx * nx - 2.0 * ny * ny)
-        ok = den > 1e-24
-        return np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
-
-    return _refine_pairs(spec, budget, seed, _PG_STREAM, batch_fn)
+    return _refine_pairs(spec, budget, seed, (_PG,))[0]
 
 
 @dataclass(frozen=True)
@@ -449,23 +533,21 @@ class DetectionVerdict(_Report):
     wall_time_s: float
 
 
-# The five parts of a detect, longest first: the order a pool starts them in.
+# The four parts of a detect, longest first: the order a pool starts them in.
 _PARTS = (
     InequalityId.LORCH,
-    "dw",
-    "parallelogram",
+    "side checks",
     InequalityId.ALPHA_BETA,
     InequalityId.N_ORDERING,
 )
 
 
 def _run_part(part, spec, config, side_budget):
-    """One of the _PARTS: a violation search or a side check. It lives at
+    """One of the _PARTS: a violation search, or both side checks, (DW
+    estimate, parallelogram probe), refined in one engine call. It lives at
     module level so that a pool pickles only its arguments."""
-    if part == "parallelogram":
-        return parallelogram_defect_search(spec, side_budget, config.seed)
-    if part == "dw":
-        return dw_constant_estimate(spec, side_budget, config.seed)
+    if part == "side checks":
+        return _refine_pairs(spec, side_budget, config.seed, (_DW, _PG))
     return violation_search(spec, part, config)
 
 
@@ -491,12 +573,15 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     finds a defect above 1e-6 while the verdict stays CONSISTENT, the
     verdict is flagged as discrepant (search insufficiency).
 
-    The three searches and the two side checks share no state. With
-    workers >= 2 on a platform that can fork, they run on a pool of
-    min(workers, 5) forked processes, longest first; otherwise they run
-    one after another in this process. Each part returns the same bits
-    either way, so the report does not depend on workers. Arguments are
-    checked before any process starts.
+    A detect runs in four parts that share no state: the three searches,
+    and the two side checks, which sample their pairs apart and refine
+    them in one engine call. The side checks report the same bits as
+    dw_constant_estimate and parallelogram_defect_search with the same
+    budget and seed. With workers >= 2 on a platform that can fork, the
+    parts run on a pool of min(workers, 4) forked processes, longest
+    first; otherwise they run one after another in this process. Each
+    part returns the same bits either way, so the report does not depend
+    on workers. Arguments are checked before any process starts.
     """
     _check_count("workers", workers)
     _check_count("side_budget", side_budget)
@@ -515,7 +600,7 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
             futures = [pool.submit(_run_part, part, *args) for part in _PARTS]
             done = {part: f.result() for part, f in zip(_PARTS, futures)}
     per = {objective: done[objective] for objective in CONDITIONAL_IDS}
-    pg = done["parallelogram"]
+    dw, pg = done["side checks"]
     violated = any(r.best_violation > _VIOLATION_THRESHOLD for r in per.values())
     verdict = VIOLATED if violated else CONSISTENT
     flagged = (not violated) and pg.value > _PG_DISCREPANCY
@@ -523,7 +608,7 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
         verdict=verdict,
         per_objective=per,
         parallelogram=pg,
-        dw_estimate=done["dw"],
+        dw_estimate=dw,
         discrepancy_flagged=flagged,
         config=config,
         wall_time_s=time.perf_counter() - t0,

@@ -135,11 +135,11 @@ def _parse_id(iq):
         raise NormGeoError(f"unknown inequality id {iq!r}; expected one of {valid}") from None
 
 
-def _unit_rows(spec, xs, ys, asked):
-    """||x||, ||y||, x/||x|| and y/||y|| row by row; a zero x or y row raises
+def _unit_rows(spec, xs, ys, asked, norms=None):
+    """||x||, ||y||, x/||x|| and y/||y|| row by row, taking ||x|| and ||y||
+    from norms when the caller has them; a zero x or y row raises
     ZeroVectorError naming `asked`, the inequality that needed them."""
-    nx = _norm_rows(spec, xs)
-    ny = _norm_rows(spec, ys)
+    nx, ny = norms or (_norm_rows(spec, xs), _norm_rows(spec, ys))
     if not ((nx > 0.0) & (ny > 0.0)).all():
         raise ZeroVectorError(f"{asked} needs nonzero x and y")
     return nx, ny, xs / nx[:, None], ys / ny[:, None]
@@ -166,15 +166,17 @@ def _universal_lhs_rhs(spec, xs, ys, asked="every universal inequality"):
     )
 
 
-def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
+def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None, norms=None):
     """Formula table over (rows, dim) stacks: returns the lhs and rhs rows.
 
     The searches, the sampled sweeps and evaluate_inequality (a 1-row
     stack) all land here, and the norm kernel gives a row the same bits
     in any stack, so every reported value replays exactly. The six
     universal inequalities come from one shared table, _universal_lhs_rhs.
-    Callers own argument validation; a zero x or y row raises
-    ZeroVectorError for the inequalities that normalize by ||x|| and ||y||.
+    ALPHA_BETA takes (||x||, ||y||) from norms when the caller already
+    computed them. Callers own argument validation; a zero x or y row
+    raises ZeroVectorError for the inequalities that normalize by ||x||
+    and ||y||.
     """
     if iq is InequalityId.N_ORDERING:
         nx = _norm_rows(spec, xs)
@@ -191,7 +193,7 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None):
             _norm_rows(spec, g * xs + (1.0 / g) * ys),
         )
     if iq is InequalityId.ALPHA_BETA:
-        nx, ny, u, v = _unit_rows(spec, xs, ys, iq.value)
+        nx, ny, u, v = _unit_rows(spec, xs, ys, iq.value, norms)
         return (
             _norm_rows(spec, u - v),
             _norm_rows(spec, xs / ny[:, None] - ys / nx[:, None]),

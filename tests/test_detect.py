@@ -283,13 +283,13 @@ def test_bad_workers_are_rejected_before_any_process(workers, built):
     assert built == []
 
 
-def test_pool_is_capped_at_the_five_parts(built):
+def test_pool_is_capped_at_the_four_parts(built):
     serial = _report(detect_inner_product(L1, TINY, side_budget=30))
     assert built == []
     for workers in (10**6, 3):
         pooled = detect_inner_product(L1, TINY, workers=workers, side_budget=30)
         assert _report(pooled) == serial
-    assert built == [5, 3]
+    assert built == [4, 3]
 
 
 def test_platform_without_fork_runs_in_process(monkeypatch, built):

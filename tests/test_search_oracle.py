@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normgeo as ng
 import normgeo.detect as det
@@ -449,3 +451,55 @@ def test_a_finite_poll_beats_a_start_scored_minus_inf():
     )
     assert (vals[0], evals[0]) == (val, used) and np.array_equal(points[0], p)
     assert val == 0.0
+
+
+def toy_fn2(q):
+    """A second objective, scoring rows independently; maximum at d."""
+    d = np.array([-0.7, 0.4, 1.5, -0.25])
+    return -np.abs(q - d).max(axis=1) + 0.125 * q[:, 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=st.lists(st.integers(0, 1), min_size=1, max_size=7),
+    budget=st.integers(1, 30),
+    pinned=st.lists(st.booleans(), min_size=4, max_size=4),
+    cells=st.sampled_from([1, det._STENCIL_CELLS]),
+)
+def test_rows_of_two_objectives_in_one_call_match_separate_calls(
+    seed, labels, budget, pinned, cells
+):
+    # Each row is scored by the objective its label names. Pinned
+    # coordinates (lo == hi) are skipped at no cost, coordinate 2 is
+    # clamped to [-1, 1], and cells=1 gives every row an fn call of its own.
+    labels = np.array(labels)
+    p0 = np.random.default_rng(seed).normal(size=(len(labels), 4))
+    pin = np.array([0.5, -0.25, 0.0, 1.0])
+    lo = np.where(pinned, pin, [-math.inf, -math.inf, -1.0, -math.inf])
+    hi = np.where(pinned, pin, [math.inf, math.inf, 1.0, math.inf])
+    fns = (toy_fn, toy_fn2)
+
+    def labelled(q, own):
+        assert own.shape == (len(q),)
+        return np.where(own == 0, toy_fn(q), toy_fn2(q))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(det, "_STENCIL_CELLS", cells)
+        vals, points, evals = det._compass_search(
+            labelled, p0, budget, lo, hi, lambda q: q, labels
+        )
+        for k, fn in enumerate(fns):
+            mine = labels == k
+            if not mine.any():
+                continue
+            alone = det._compass_search(fn, p0[mine], budget, lo, hi, lambda q: q)
+            assert np.array_equal(vals[mine], alone[0])
+            assert np.array_equal(points[mine], alone[1])
+            assert np.array_equal(evals[mine], alone[2])
+    for r, k in enumerate(labels):
+        val, p, used = ref_compass(
+            lambda q: fns[k](q[None])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
+        )
+        assert (vals[r], evals[r]) == (val, used), r
+        assert np.array_equal(points[r], p), r
