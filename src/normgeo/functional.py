@@ -102,7 +102,6 @@ def one_sided_derivative(spec, x, y, t, side):
     Quotients at steps h_k = 1e-2*(1+|t|)*2^-k are Richardson-extrapolated
     pairwise; the stabilized value is returned once successive extrapolants
     agree to relative 1e-7. Running out of steps (floor 1e-10) raises
-
     DerivativeConvergenceError rather than returning a bad number.
     """
     if side not in (LEFT, RIGHT):
