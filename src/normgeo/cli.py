@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -71,9 +72,22 @@ def _write_atomic(path, data):
         raise NormGeoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _strict(value):
+    """value with each non-finite float spelled "inf", "-inf" or "nan", as
+    spec_to_dict spells p, so a report is strict JSON (RFC 8259)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(args, spec, body):
     """Print a report, and with --out also write it: the command, tool
-    version, seed and spec once, then the subcommand's body."""
+    version, seed and spec once, then the subcommand's body, as strict
+    JSON."""
     payload = {
         "command": args.command.replace("-", "_"),
         "tool_version": __version__,
@@ -81,7 +95,7 @@ def _emit(args, spec, body):
         "spec": spec_to_dict(spec),
         **body,
     }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_strict(payload), indent=2, allow_nan=False)
     print(text)
     if args.out:
         _write_atomic(args.out, text + "\n")

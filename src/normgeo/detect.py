@@ -10,6 +10,7 @@ alpha <= c*||x-y||/(||x||+||y||).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -97,13 +98,12 @@ class SearchResult(_Report):
     budget_stops: int
 
 
-def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
+def _compass_search(fn, p0, max_evals, lo, hi, project):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
-    fn(q) scores an (m, n) stack q of points. Given per-row labels, the
-    engine calls fn(q, labels) instead, with the label of the row each
-    point belongs to; a stack lists its points in row order, so labels
-    that do not decrease down p0 do not decrease down q either. Each row
+    fn(q, rows) scores an (m, n) stack q of points, where rows[i] is the
+    row of p0 that point i belongs to; a stack lists its points in row
+    order, so rows does not decrease down q. Each row
     follows the trajectory a lone search from it would: poll the 2n
     points +-step along each coordinate in order, +step before -step;
     take the first sufficient improvement and go on to the next
@@ -131,7 +131,7 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
     """
     p = project(np.clip(p0, lo, hi))
     count, n = p.shape
-    best = fn(p) if labels is None else fn(p, labels)
+    best = fn(p, np.arange(count))
     evals = np.ones(count, dtype=np.int64)
     width = 2 * n
     polls = np.arange(width)
@@ -155,31 +155,30 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
     need = _sufficient(val, tol)
     pos = np.zeros(ids.size, dtype=np.int64)  # next poll: 2 * coordinate + (0: +step, 1: -step)
     improved = np.zeros(ids.size, dtype=bool)
-    tag = None if labels is None else labels[ids]
     while ids.size:
         for start in range(0, ids.size, chunk):
-            rows = slice(start, start + chunk)
-            base = at[rows]
+            sl = slice(start, start + chunk)
+            base = at[sl]
             m = len(base)
             old = base.take(coord, axis=1)
-            new = old + delta[rows]
+            new = old + delta[sl]
             stencil = base.take(copies, axis=1)
             # the point is inside [lo, hi], so clamping a poll clamps its own coordinate
             stencil[:, cells] = np.clip(new, lo_c, hi_c) if clamp else new
             flat = project(stencil.reshape(-1, n))
             active = flat.reshape(m, -1).take(cells, axis=1) != old
-            active &= polls >= pos[rows, None]
+            active &= polls >= pos[sl, None]
             rank = active.cumsum(axis=1)
-            room = max_evals - used[rows]
+            room = max_evals - used[sl]
             kept = np.flatnonzero(active & (rank <= room[:, None]))
             vals = np.full((m, width), -math.inf)
             if kept.size:
                 q = flat.take(kept, axis=0)
-                vals.flat[kept] = fn(q) if tag is None else fn(q, tag[rows].take(kept // width))
-            better = vals > need[rows, None]
+                vals.flat[kept] = fn(q, ids[sl].take(kept // width))
+            better = vals > need[sl, None]
             first = better.argmax(axis=1)
             last = np.minimum(rank[:, -1], room)
-            pos[rows] = width
+            pos[sl] = width
             r = np.flatnonzero(better.any(axis=1))
             if r.size:
                 f = first[r]
@@ -191,7 +190,7 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
                 improved[moved] = True
                 pos[moved] = after.take(f)
                 need[moved] = _sufficient(val[moved], tol[moved])
-            used[rows] += last
+            used[sl] += last
         wrap = pos == width
         shrink = wrap & ~improved
         if shrink.any():
@@ -208,7 +207,6 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, labels=None):
             ids, at, val, used, step, delta, tol, need, pos, improved = (
                 a[alive] for a in (ids, at, val, used, step, delta, tol, need, pos, improved)
             )
-            tag = None if tag is None else tag[alive]
     return best, p, evals
 
 
@@ -221,13 +219,14 @@ def _sufficient(best, tol):
 
 
 def _decode_points(spec, objective, q):
-    """The pairs a parameter stack q stands for: (ok, xs, ys, ts, gammas,
-    norms).
+    """The pairs a parameter stack q stands for: (ok, xs, ys, extra), where
+    extra holds the formula table's keyword rows for the objective.
 
     Each row is x, y and, for N_ORDERING and LORCH, one more coordinate:
-    t itself, or log|gamma|. ALPHA_BETA and LORCH rows count (ok) only if
-    ||x|| and ||y|| both exceed 1e-12; for ALPHA_BETA, norms holds those
-    ||x|| and ||y|| rows, for the formula table to reuse. LORCH rescales y
+    t itself ({"ts": ...}), or log|gamma| ({"gammas": ...}). ALPHA_BETA and
+    LORCH rows count (ok) only if ||x|| and ||y|| both exceed 1e-12; for
+    ALPHA_BETA, extra is {"nx": ..., "ny": ...}, those ||x|| and ||y|| rows,
+    for the formula table to reuse. LORCH rescales y
     to ||x|| on the rows that count and keeps the raw y on the rest; its
     gamma is the positive exp(q[-1]), because negating gamma negates
     gamma*x + y/gamma and leaves its norm, and so the slack, unchanged.
@@ -235,35 +234,28 @@ def _decode_points(spec, objective, q):
     d = spec.dim
     xs, ys = q[:, :d], q[:, d : 2 * d]
     if objective is InequalityId.N_ORDERING:
-        return np.ones(len(q), dtype=bool), xs, ys, q[:, -1], None, None
+        return np.ones(len(q), dtype=bool), xs, ys, {"ts": q[:, -1]}
     nx = _norm_rows(spec, xs)
     ny = _norm_rows(spec, ys)
     ok = (nx > _NORM_FLOOR) & (ny > _NORM_FLOOR)
     if objective is InequalityId.ALPHA_BETA:
-        return ok, xs, ys, None, None, (nx, ny)
+        return ok, xs, ys, {"nx": nx, "ny": ny}
     scale = np.ones(len(q))
     scale[ok] = nx[ok] / ny[ok]
     ys = ys * scale[:, None]
     # math.exp, not np.exp, so a witness's gamma replays to the bit; a
     # stack repeats each restart's log-gamma in all but two of its polls.
     logs, back = np.unique(q[:, -1], return_inverse=True)
-    return ok, xs, ys, None, np.array([math.exp(v) for v in logs.tolist()])[back], None
+    return ok, xs, ys, {"gammas": np.array([math.exp(v) for v in logs.tolist()])[back]}
 
 
 def _score_points(spec, objective, q):
     """-slack of each parameter row (higher = worse violation); rows the
     decoder does not count score -inf."""
-    ok, xs, ys, ts, gammas, norms = _decode_points(spec, objective, q)
+    ok, xs, ys, extra = _decode_points(spec, objective, q)
     rows = slice(None) if ok.all() else ok  # a slice takes views, not copies
-    lhs, rhs = _batch_lhs_rhs(
-        objective,
-        spec,
-        xs[rows],
-        ys[rows],
-        ts=None if ts is None else ts[rows],
-        gammas=None if gammas is None else gammas[rows],
-        norms=None if norms is None else tuple(v[rows] for v in norms),
-    )
+    extra = {key: v[rows] for key, v in extra.items()}
+    lhs, rhs = _batch_lhs_rhs(objective, spec, xs[rows], ys[rows], **extra)
     out = np.full(len(q), -math.inf)
     out[rows] = lhs - rhs
     return out
@@ -310,7 +302,7 @@ def _search_restarts(spec, objective, config):
             start.append([rng.uniform(*band)])
         starts.append(np.concatenate(start))
     best, p, evals = _compass_search(
-        lambda q: _score_points(spec, objective, q),
+        lambda q, rows: _score_points(spec, objective, q),
         np.array(starts),
         config.iters_per_restart,
         lo,
@@ -341,12 +333,12 @@ def violation_search(spec, objective, config):
     vals, points, signs, evals = _search_restarts(spec, objective, config)
     r_best = int(np.argmax(vals))
     val = float(vals[r_best])
-    _, xs, ys, ts, gammas, _ = _decode_points(spec, objective, points[r_best : r_best + 1])
+    _, xs, ys, extra = _decode_points(spec, objective, points[r_best : r_best + 1])
     witness = Witness(
         x=xs[0].copy(),
         y=ys[0].copy(),
-        t=None if ts is None else float(ts[0]),
-        gamma=None if gammas is None else float(signs[r_best] * gammas[0]),
+        t=float(extra["ts"][0]) if "ts" in extra else None,
+        gamma=float(signs[r_best] * extra["gammas"][0]) if "gammas" in extra else None,
     )
     return SearchResult(
         objective=objective,
@@ -404,15 +396,12 @@ _PG = (_PG_STREAM, _pg_values)
 
 def _side_values(spec, checks, owner, xs, ys):
     """Each row's value under its own side check: checks[owner[i]] scores
-    row i (with one check, owner is not read). owner is non-decreasing
-    (one check's rows, then the next's), so each check scores a slice of
-    the stack, without copies. ||x||, ||y|| and ||x-y|| are computed once
-    for all the checks."""
+    row i. owner is non-decreasing (one check's rows, then the next's), so
+    each check scores a slice of the stack, without copies. ||x||, ||y||
+    and ||x-y|| are computed once for all the checks."""
     nx = _norm_rows(spec, xs)
     ny = _norm_rows(spec, ys)
     nd = _norm_rows(spec, xs - ys)
-    if len(checks) == 1:
-        return checks[0][1](spec, xs, ys, nx, ny, nd)
     out = np.empty(len(xs))
     cuts = np.searchsorted(owner, np.arange(len(checks) + 1)).tolist()
     for (_, values), a, b in zip(checks, cuts, cuts[1:]):
@@ -441,8 +430,9 @@ def _top_pairs(spec, budget, seed, check):
             # copies: views would pin block 0's whole stacks
             first = (xs[0].copy(), ys[0].copy())
         scores = np.empty(len(xs))
+        owner = np.zeros(len(xs), dtype=np.int64)  # every row is the check's own
         for sl in _chunks(len(xs), dim):
-            scores[sl] = _side_values(spec, (check,), None, xs[sl], ys[sl])
+            scores[sl] = _side_values(spec, (check,), owner[sl], xs[sl], ys[sl])
         skipped += int(np.isneginf(scores).sum())
         # stable: earlier pairs come first, so they win ties; a row outside
         # its block's own top cannot enter the running top
@@ -475,13 +465,12 @@ def _refine_pairs(spec, budget, seed, checks):
     starts = np.concatenate([np.concatenate([xs, ys], axis=1) for _, xs, ys, *_ in tops])
     if owner.size:
         vals, points, evals = _compass_search(
-            lambda q, own: _side_values(spec, checks, own, q[:, :dim], q[:, dim:]),
+            lambda q, rows: _side_values(spec, checks, owner[rows], q[:, :dim], q[:, dim:]),
             starts,
             _SIDE_BUDGET,
             np.full(2 * dim, -math.inf),
             np.full(2 * dim, math.inf),
             _make_project(dim),
-            owner,
         )
     results = []
     for k, (top_s, top_x, top_y, first, skipped) in enumerate(tops):
@@ -533,24 +522,6 @@ class DetectionVerdict(_Report):
     wall_time_s: float
 
 
-# The four parts of a detect, longest first: the order a pool starts them in.
-_PARTS = (
-    InequalityId.LORCH,
-    "side checks",
-    InequalityId.ALPHA_BETA,
-    InequalityId.N_ORDERING,
-)
-
-
-def _run_part(part, spec, config, side_budget):
-    """One of the _PARTS: a violation search, or both side checks, (DW
-    estimate, parallelogram probe), refined in one engine call. It lives at
-    module level so that a pool pickles only its arguments."""
-    if part == "side checks":
-        return _refine_pairs(spec, side_budget, config.seed, (_DW, _PG))
-    return violation_search(spec, part, config)
-
-
 def _fork_context(workers):
     """The fork start method's context when workers > 1 and the platform
     has it; None otherwise, without importing multiprocessing for one
@@ -587,20 +558,23 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     _check_count("side_budget", side_budget)
     _check_dim(spec, config)
     t0 = time.perf_counter()
-    args = (spec, config, side_budget)
+    # longest first: the order a pool starts them in
+    parts = (
+        functools.partial(violation_search, spec, InequalityId.LORCH, config),
+        functools.partial(_refine_pairs, spec, side_budget, config.seed, (_DW, _PG)),
+        functools.partial(violation_search, spec, InequalityId.ALPHA_BETA, config),
+        functools.partial(violation_search, spec, InequalityId.N_ORDERING, config),
+    )
     context = _fork_context(workers)
     if context is None:
-        done = {part: _run_part(part, *args) for part in _PARTS}
+        done = [part() for part in parts]
     else:
         from concurrent.futures.process import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(_PARTS)), mp_context=context
-        ) as pool:
-            futures = [pool.submit(_run_part, part, *args) for part in _PARTS]
-            done = {part: f.result() for part, f in zip(_PARTS, futures)}
-    per = {objective: done[objective] for objective in CONDITIONAL_IDS}
-    dw, pg = done["side checks"]
+        with ProcessPoolExecutor(min(workers, len(parts)), context) as pool:
+            done = [f.result() for f in [pool.submit(part) for part in parts]]
+    lorch, (dw, pg), alpha_beta, n_ordering = done
+    per = dict(zip(CONDITIONAL_IDS, (n_ordering, alpha_beta, lorch)))
     violated = any(r.best_violation > _VIOLATION_THRESHOLD for r in per.values())
     verdict = VIOLATED if violated else CONSISTENT
     flagged = (not violated) and pg.value > _PG_DISCREPANCY

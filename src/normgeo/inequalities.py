@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -135,11 +136,12 @@ def _parse_id(iq):
         raise NormGeoError(f"unknown inequality id {iq!r}; expected one of {valid}") from None
 
 
-def _unit_rows(spec, xs, ys, asked, norms=None):
+def _unit_rows(spec, xs, ys, asked, nx=None, ny=None):
     """||x||, ||y||, x/||x|| and y/||y|| row by row, taking ||x|| and ||y||
-    from norms when the caller has them; a zero x or y row raises
+    from nx and ny when the caller has them; a zero x or y row raises
     ZeroVectorError naming `asked`, the inequality that needed them."""
-    nx, ny = norms or (_norm_rows(spec, xs), _norm_rows(spec, ys))
+    nx = _norm_rows(spec, xs) if nx is None else nx
+    ny = _norm_rows(spec, ys) if ny is None else ny
     if not ((nx > 0.0) & (ny > 0.0)).all():
         raise ZeroVectorError(f"{asked} needs nonzero x and y")
     return nx, ny, xs / nx[:, None], ys / ny[:, None]
@@ -166,17 +168,17 @@ def _universal_lhs_rhs(spec, xs, ys, asked="every universal inequality"):
     )
 
 
-def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None, norms=None):
+def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None, nx=None, ny=None):
     """Formula table over (rows, dim) stacks: returns the lhs and rhs rows.
 
     The searches, the sampled sweeps and evaluate_inequality (a 1-row
     stack) all land here, and the norm kernel gives a row the same bits
     in any stack, so every reported value replays exactly. The six
     universal inequalities come from one shared table, _universal_lhs_rhs.
-    ALPHA_BETA takes (||x||, ||y||) from norms when the caller already
-    computed them. Callers own argument validation; a zero x or y row
-    raises ZeroVectorError for the inequalities that normalize by ||x||
-    and ||y||.
+    ALPHA_BETA takes ||x|| and ||y|| from nx and ny when the caller
+    already computed them. Callers own argument validation; a zero x or y
+    row raises ZeroVectorError for the inequalities that normalize by
+    ||x|| and ||y||.
     """
     if iq is InequalityId.N_ORDERING:
         nx = _norm_rows(spec, xs)
@@ -193,7 +195,7 @@ def _batch_lhs_rhs(iq, spec, xs, ys, ts=None, gammas=None, norms=None):
             _norm_rows(spec, g * xs + (1.0 / g) * ys),
         )
     if iq is InequalityId.ALPHA_BETA:
-        nx, ny, u, v = _unit_rows(spec, xs, ys, iq.value, norms)
+        nx, ny, u, v = _unit_rows(spec, xs, ys, iq.value, nx, ny)
         return (
             _norm_rows(spec, u - v),
             _norm_rows(spec, xs / ny[:, None] - ys / nx[:, None]),
@@ -254,12 +256,9 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-# The last sweep: ((spec, trials, seed, workers), its six folded winners).
-# Specs are frozen and compared by identity. One entry, replaced whole, so a
-# racing thread at worst runs a sweep twice.
-_last_sweep = None
-
-
+# The last sweep is kept: specs are frozen and hash by identity, and two
+# racing threads at worst run a sweep twice.
+@functools.lru_cache(maxsize=1)
 def _sweep(spec, trials, seed, workers):
     """Fold every block of the sweep into each universal inequality's winner:
     (trial index, x, y, least normalized slack), in UNIVERSAL_IDS order."""
@@ -301,20 +300,13 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     usable CPUs) threads, which keep at most twice their number of blocks
     submitted, so memory grows with neither trials nor workers.
     """
-    global _last_sweep
     iq = _parse_id(iq)
     if iq not in UNIVERSAL_IDS:
         raise NormGeoError(f"{iq.value} is conditional; violation_search searches it")
     _check_count("workers", workers)
     _check_count("trials", trials)
     _check_count("seed", seed, 0)
-    key = (trials, seed, workers)
-    memo = _last_sweep
-    if memo is not None and memo[0][0] is spec and memo[0][1:] == key:
-        winners = memo[1]
-    else:
-        winners = _sweep(spec, trials, seed, workers)
-        _last_sweep = ((spec, *key), winners)
+    winners = _sweep(spec, trials, seed, workers)
     index, x, y, min_norm_slack = winners[UNIVERSAL_IDS.index(iq)]
     # the replay copies x and y, so no two calls share a witness array
     report = evaluate_inequality(iq, spec, x, y)

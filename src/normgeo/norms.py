@@ -86,8 +86,11 @@ class NormSpec:
         if self.kind in (LP, WEIGHTED_LP):
             p = self.p
             if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise NormSpecError(f"p must be a number or inf, got {p!r}")
-            p = float(p)
+                raise NormSpecError(f'p must be a number or inf ("inf" in JSON), got {p!r}')
+            try:
+                p = float(p)
+            except OverflowError as exc:
+                raise NormSpecError(f"p is too large for a float ({exc})") from exc
             if math.isnan(p) or p < 1.0:
                 raise NormSpecError(f"p must satisfy p >= 1, got {p}")
             object.__setattr__(self, "p", p)
@@ -430,24 +433,32 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     )
 
 
+# Each kind's keys, in the order spec_to_dict echoes them.
 _KEYS = {
-    LP: {"kind", "p", "dim"},
-    WEIGHTED_LP: {"kind", "p", "weights", "dim"},
-    QUADRATIC: {"kind", "gram", "dim"},
+    LP: ("kind", "p", "dim"),
+    WEIGHTED_LP: ("kind", "p", "weights", "dim"),
+    QUADRATIC: ("kind", "gram", "dim"),
 }
 
 
 def _parse_p(raw):
-    if isinstance(raw, str):
-        if raw.strip().lower() == "inf":
-            return math.inf
-        raise NormSpecError(f'p must be a number or "inf", got {raw!r}')
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise NormSpecError(f'p must be a number or "inf", got {raw!r}')
-    try:
-        return float(raw)
-    except OverflowError as exc:
-        raise NormSpecError(f"p is too large for a float ({exc})") from exc
+    """p from JSON: the string "inf" (any case) is math.inf; NormSpec checks
+    anything else."""
+    if isinstance(raw, str) and raw.strip().lower() == "inf":
+        return math.inf
+    return raw
+
+
+def _check_numbers(value, what):
+    """Reject a bool or string anywhere in a JSON array, which float() would
+    read as a number (true as 1.0, "3" as 3.0)."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(v)
+        elif isinstance(v, (bool, str)):
+            raise NormSpecError(f"{what} must hold numbers only, got {v!r}")
 
 
 def parse_norm_spec(obj):
@@ -462,12 +473,15 @@ def parse_norm_spec(obj):
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _KEYS:
         raise NormSpecError(f"unknown norm kind {kind!r}")
-    extra = set(obj) - _KEYS[kind]
-    missing = _KEYS[kind] - set(obj)
+    keys = set(_KEYS[kind])
+    extra = set(obj) - keys
+    missing = keys - set(obj)
     if extra:
         raise NormSpecError(f"unknown keys for kind {kind!r}: {sorted(extra)}")
     if missing:
         raise NormSpecError(f"missing keys for kind {kind!r}: {sorted(missing)}")
+    for key in ("weights", "gram"):
+        _check_numbers(obj.get(key), key)
     p = _parse_p(obj["p"]) if "p" in obj else None
     return NormSpec(kind, obj["dim"], p, obj.get("weights"), obj.get("gram"))
 
@@ -482,20 +496,12 @@ def load_norm_spec(path):
 
 
 def spec_to_dict(spec):
-    """JSON-ready echo of a spec (p = inf serializes as the string "inf")."""
-    if spec.kind == LP:
-        p = "inf" if spec.p == math.inf else spec.p
-        return {"kind": LP, "p": p, "dim": spec.dim}
-    if spec.kind == WEIGHTED_LP:
-        p = "inf" if spec.p == math.inf else spec.p
-        return {
-            "kind": WEIGHTED_LP,
-            "p": p,
-            "weights": [float(w) for w in spec.weights],
-            "dim": spec.dim,
-        }
-    return {
-        "kind": QUADRATIC,
-        "gram": [[float(g) for g in row] for row in spec.gram],
-        "dim": spec.dim,
-    }
+    """JSON-ready echo of a spec, its kind's _KEYS in order: p = inf as the
+    string "inf", weights and gram as (nested) lists of floats."""
+
+    def echo(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        return "inf" if value == math.inf else value
+
+    return {key: echo(getattr(spec, key)) for key in _KEYS[spec.kind]}

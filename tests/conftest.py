@@ -8,9 +8,9 @@ import support
 def fresh_sweep_memo():
     # batch_min_slack keeps the last sweep; a test that patches the sampler
     # or the kernel must not leave its result behind for the next test
-    ineq._last_sweep = None
+    ineq._sweep.cache_clear()
     yield
-    ineq._last_sweep = None
+    ineq._sweep.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

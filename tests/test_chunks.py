@@ -32,7 +32,7 @@ def set_chunk_rows(monkeypatch, rows, dim):
 
 def reports(spec):
     # a fresh sweep per chunk height: the memo would hand back the last one
-    ineq._last_sweep = None
+    ineq._sweep.cache_clear()
     out = [
         ng.batch_min_slack(iq, spec, TRIALS, 3, workers=workers).to_dict()
         for workers in (1, 2)

@@ -373,8 +373,9 @@ def _single_error_line(err):
         {"kind": "weighted_lp", "p": 2, "weights": ["a"], "dim": 1},
         {"kind": "quadratic", "gram": [[1.0, 0.0], [0.0]], "dim": 2},
         {"kind": "lp", "p": 2, "dim": 10**30},
+        {"kind": "weighted_lp", "p": 2, "weights": [True, "3"], "dim": 2},
     ],
-    ids=["non-numeric-weights", "ragged-gram", "huge-dim"],
+    ids=["non-numeric-weights", "ragged-gram", "huge-dim", "bool-and-string-weights"],
 )
 def test_malformed_spec_values_are_input_errors(payload, capsys, tmp_path):
     path = tmp_path / "spec.json"
@@ -533,3 +534,34 @@ def test_out_errors_name_the_given_path(target, specs, capsys, tmp_path):
     assert f"cannot write {out_path}:" in err
     assert ".normgeo-" not in err
     assert list(tmp_path.rglob(".normgeo-*")) == []
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize(
+    ("weights", "argv"),
+    [
+        ([1e-40] * 2, ["dw-constant", "--budget", "50"]),
+        ([1e-14] * 3, ["detect", "--restarts", "2", "--iters", "50"]),
+    ],
+    ids=["dw-constant", "detect"],
+)
+def test_non_finite_values_are_spelled_as_strings(weights, argv, capsys, tmp_path):
+    # every norm is below the 1e-12 floor, so the side checks skip every
+    # pair and the searches count no candidate: their values are infinite
+    path = tmp_path / "tiny.json"
+    spec = {"kind": "weighted_lp", "p": 1, "weights": weights, "dim": len(weights)}
+    path.write_text(json.dumps(spec))
+    target = tmp_path / "report.json"
+    rc, out, _ = run(capsys, *argv, "--norm", str(path), "--seed", "1", "--out", str(target))
+    assert rc == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert json.loads(target.read_text(), parse_constant=_reject_constant) == payload
+    if argv[0] == "dw-constant":
+        assert payload["estimate"] == "-inf"
+    else:
+        assert payload["dw_estimate"]["value"] == "-inf"
+        assert payload["parallelogram"]["value"] == "-inf"
+        assert payload["per_objective"]["LORCH"]["witness_slack"] == "inf"

@@ -136,6 +136,16 @@ def test_p_below_one_rejected():
         ng.weighted_lp_norm(0.99, [1.0, 1.0])
 
 
+def test_p_too_large_for_a_float_is_a_spec_error():
+    for make in (
+        lambda: ng.lp_norm(10**400, 2),
+        lambda: ng.weighted_lp_norm(-(10**400), [1.0, 1.0]),
+        lambda: ng.parse_norm_spec('{"kind":"lp","p":1' + "0" * 400 + ',"dim":2}'),
+    ):
+        with pytest.raises(ng.NormSpecError, match="p is too large for a float"):
+            make()
+
+
 def test_bad_weights_rejected():
     with pytest.raises(ng.NormSpecError):
         ng.weighted_lp_norm(2, [1.0, 0.0])
@@ -259,6 +269,21 @@ def test_parse_norm_spec_round_trip():
         assert ng.norm_eval(spec, v) == ng.norm_eval(again, v)
 
 
+def test_spec_to_dict_echoes_each_kinds_keys_in_order():
+    for spec, text in [
+        (ng.lp_norm(math.inf, 3), '{"kind": "lp", "p": "inf", "dim": 3}'),
+        (
+            ng.weighted_lp_norm(1, [0.5, 2]),
+            '{"kind": "weighted_lp", "p": 1.0, "weights": [0.5, 2.0], "dim": 2}',
+        ),
+        (
+            ng.quadratic_norm([[2, 0.5], [0.5, 1]]),
+            '{"kind": "quadratic", "gram": [[2.0, 0.5], [0.5, 1.0]], "dim": 2}',
+        ),
+    ]:
+        assert json.dumps(ng.spec_to_dict(spec)) == text
+
+
 def test_parse_norm_spec_rejects_unknown_keys():
     with pytest.raises(ng.NormSpecError):
         ng.parse_norm_spec('{"kind":"lp","p":1,"dim":2,"extra":5}')
@@ -297,6 +322,22 @@ def test_malformed_weights_and_gram_are_spec_errors():
         ng.parse_norm_spec('{"kind":"quadratic","gram":[[1.0,0.0],[0.0]],"dim":2}')
     with pytest.raises(ng.GramValidationError):
         ng.gram_validate([[1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind":"weighted_lp","p":2,"weights":[true,"3"],"dim":2}',
+        '{"kind":"weighted_lp","p":2,"weights":[1.0,false],"dim":2}',
+        '{"kind":"weighted_lp","p":2,"weights":"12","dim":2}',
+        '{"kind":"quadratic","gram":[[1.0,0.0],[0.0,true]],"dim":2}',
+        '{"kind":"quadratic","gram":[[1.0,"0"],[0.0,1.0]],"dim":2}',
+    ],
+)
+def test_weights_and_gram_hold_numbers_only(text):
+    # float() would read true as 1.0 and "3" as 3.0; p already rejects both
+    with pytest.raises(ng.NormSpecError, match="numbers only"):
+        ng.parse_norm_spec(text)
 
 
 # what json.loads can return, including integers too large for a float

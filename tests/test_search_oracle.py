@@ -396,7 +396,7 @@ def test_tiny_budgets_cut_the_stencil_like_the_scalar_reference(name, objective,
                 assert np.array_equal(points[r], p), (cells, budget, r)
 
 
-def toy_fn(q):
+def toy_fn(q, rows):
     """Rows scored independently with exact arithmetic only; maximum at c."""
     c = np.array([0.3, -1.1, 0.05, 2.0])
     return -np.abs(q - c).sum(axis=1) - 0.01 * q[:, 0] * q[:, 2]
@@ -412,32 +412,32 @@ def test_pinned_coordinates_are_skipped_without_cost(budget):
     vals, points, evals = det._compass_search(toy_fn, p0, budget, lo, hi, lambda q: q)
     for r in range(len(p0)):
         val, p, used = ref_compass(
-            lambda q: toy_fn(q[None])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
+            lambda q: toy_fn(q[None], [r])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
         )
         assert (vals[r], evals[r]) == (val, used), r
         assert np.array_equal(points[r], p), r
 
 
 def test_all_polls_skipped_stops_at_the_step_floor_after_one_evaluation():
-    rows = []
+    sizes = []
 
-    def fn(q):
-        rows.append(len(q))
-        return toy_fn(q)
+    def fn(q, rows):
+        sizes.append(len(q))
+        return toy_fn(q, rows)
 
     p0 = np.random.default_rng(4).normal(size=(3, 4))
     bound = np.array([0.5, -0.25, 0.0, 1.0])
     vals, points, evals = det._compass_search(fn, p0, 2000, bound, bound, lambda q: q)
-    assert rows == [3]
+    assert sizes == [3]
     assert evals.tolist() == [1, 1, 1]
     assert np.array_equal(points, np.tile(bound, (3, 1)))
-    assert np.array_equal(vals, toy_fn(points))
+    assert np.array_equal(vals, toy_fn(points, np.arange(3)))
 
 
 def test_a_finite_poll_beats_a_start_scored_minus_inf():
     # The start scores -inf; the first poll (+0.25 along coordinate 0) is
     # finite and must be taken, with no floor added to -inf.
-    def fn(q):
+    def fn(q, rows):
         return np.where(q[:, 0] > 0.2, -np.abs(q[:, 0] - 1.0), -math.inf)
 
     p0 = np.zeros((1, 2))
@@ -447,13 +447,13 @@ def test_a_finite_poll_beats_a_start_scored_minus_inf():
     assert np.array_equal(points[0], [0.25, 0.0])
     vals, points, evals = det._compass_search(fn, p0, 2000, *none, lambda q: q)
     val, p, used = ref_compass(
-        lambda q: fn(q[None])[0], p0[0], 0.25, 0.5, 2000, *none, lambda q: q
+        lambda q: fn(q[None], [0])[0], p0[0], 0.25, 0.5, 2000, *none, lambda q: q
     )
     assert (vals[0], evals[0]) == (val, used) and np.array_equal(points[0], p)
     assert val == 0.0
 
 
-def toy_fn2(q):
+def toy_fn2(q, rows):
     """A second objective, scoring rows independently; maximum at d."""
     d = np.array([-0.7, 0.4, 1.5, -0.25])
     return -np.abs(q - d).max(axis=1) + 0.125 * q[:, 1]
@@ -480,15 +480,13 @@ def test_rows_of_two_objectives_in_one_call_match_separate_calls(
     hi = np.where(pinned, pin, [math.inf, math.inf, 1.0, math.inf])
     fns = (toy_fn, toy_fn2)
 
-    def labelled(q, own):
-        assert own.shape == (len(q),)
-        return np.where(own == 0, toy_fn(q), toy_fn2(q))
+    def labelled(q, rows):
+        assert rows.shape == (len(q),)
+        return np.where(labels[rows] == 0, toy_fn(q, rows), toy_fn2(q, rows))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(det, "_STENCIL_CELLS", cells)
-        vals, points, evals = det._compass_search(
-            labelled, p0, budget, lo, hi, lambda q: q, labels
-        )
+        vals, points, evals = det._compass_search(labelled, p0, budget, lo, hi, lambda q: q)
         for k, fn in enumerate(fns):
             mine = labels == k
             if not mine.any():
@@ -499,7 +497,7 @@ def test_rows_of_two_objectives_in_one_call_match_separate_calls(
             assert np.array_equal(evals[mine], alone[2])
     for r, k in enumerate(labels):
         val, p, used = ref_compass(
-            lambda q: fns[k](q[None])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
+            lambda q: fns[k](q[None], [r])[0], p0[r], 0.25, 0.5, budget, lo, hi, lambda q: q
         )
         assert (vals[r], evals[r]) == (val, used), r
         assert np.array_equal(points[r], p), r

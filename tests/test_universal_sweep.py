@@ -110,7 +110,7 @@ def test_six_ids_draw_each_block_once(drawn):
     got = [ng.batch_min_slack(iq, L1, TRIALS, 3).to_dict() for iq in UNIVERSAL_IDS]
     assert drawn == [0, 1, 2]
     for iq, memoized in zip(UNIVERSAL_IDS, got):
-        ineq._last_sweep = None
+        ineq._sweep.cache_clear()
         assert ng.batch_min_slack(iq, L1, TRIALS, 3).to_dict() == memoized, iq
 
 
