@@ -27,7 +27,10 @@ from .inequalities import (
     _parse_id,
 )
 from .norms import (
+    _DW_STREAM,
+    _PG_STREAM,
     _RADIUS_RANGE,
+    _SEARCH_STREAM,
     _blocks,
     _check_count,
     _chunks,
@@ -56,9 +59,6 @@ _STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
 _SIDE_BUDGET = 4000
 _REFINE_TOP = 8
-_SEARCH_STREAM = 2
-_DW_STREAM = 3
-_PG_STREAM = 4
 _PG_DISCREPANCY = 1e-6
 _DW_SEPARATION_REL = 1e-8
 # A pair counts only if both norms exceed this: dividing by a smaller norm
@@ -82,6 +82,7 @@ class SearchConfig(_Report):
     iters_per_restart: int = 2000
 
     def __post_init__(self):
+        _check_count("dim", self.dim)
         _check_count("seed", self.seed, 0)
         _check_count("restarts", self.restarts, highest=_MAX_RESTARTS)
         _check_count("iters_per_restart", self.iters_per_restart)

@@ -17,7 +17,9 @@ from .errors import DerivativeConvergenceError, NormGeoError
 from .norms import (
     NormSpec,
     _check_count,
+    _float_array,
     _norm_rows,
+    _real,
     _vector_pair,
     norm_eval,
     quadratic_norm,
@@ -47,7 +49,7 @@ def _line_norms(spec, x, y, ts):
 
 def n_eval(spec, x, y, t):
     """||x + t*y|| for scalar t."""
-    t = float(t)
+    t = _real(t, "t")
     if not math.isfinite(t):
         raise NormGeoError(f"t must be finite, got {t}")
     x, y = _vector_pair(spec, x, y)
@@ -66,7 +68,7 @@ def n_curve(spec, x, y, t_min, t_max, steps):
 
     Returns a list of (CurveSample, CurveSample) pairs sharing the same t.
     """
-    t_min, t_max = float(t_min), float(t_max)
+    t_min, t_max = _real(t_min, "t_min"), _real(t_max, "t_max")
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
         raise NormGeoError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     _check_count("steps", steps, 2, _MAX_STEPS)
@@ -106,7 +108,7 @@ def one_sided_derivative(spec, x, y, t, side):
     """
     if side not in (LEFT, RIGHT):
         raise NormGeoError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
-    t = float(t)
+    t = _real(t, "t")
     x, y = _vector_pair(spec, x, y)
     sgn = 1.0 if side == RIGHT else -1.0
     f0 = n_eval(spec, x, y, t)
@@ -138,7 +140,7 @@ def convexity_defect(spec, x, y, t_grid):
     For each consecutive triple the outer points (a, b) are paired with their
     exact midpoint m. Nonpositive up to rounding for every norm.
     """
-    g = np.asarray(t_grid, dtype=float)
+    g = _float_array(t_grid, "grid", NormGeoError)
     if g.ndim != 1 or g.size < 3:
         raise NormGeoError(f"grid must hold at least 3 points, got {g.size}")
     if not np.all(np.isfinite(g)) or not np.all(np.diff(g) > 0.0):
@@ -156,6 +158,7 @@ def convexity_defect(spec, x, y, t_grid):
 
 def reflection_identity_defect(spec, x, y, t):
     """|n_{x,y}(t) - n_{x,-y}(-t)|, both sides evaluated independently."""
+    t = _real(t, "t")
     x, y = _vector_pair(spec, x, y)
     a = n_eval(spec, x, y, t)
     b = n_eval(spec, x, -y, -t)
@@ -169,7 +172,7 @@ def reciprocal_order_agreement(spec, x, y, t):
     treated as equalities and agree with anything; only strictly opposite
     orderings count as disagreement.
     """
-    t = float(t)
+    t = _real(t, "t")
     if t == 0.0 or not math.isfinite(t):
         raise NormGeoError(f"t must be finite and nonzero, got {t}")
     x, y = _vector_pair(spec, x, y)
@@ -201,7 +204,7 @@ def quadratic_difference_defect(gram_or_spec, x, y, t):
             raise NormGeoError("quadratic_difference_defect needs a gram norm")
     else:
         spec = quadratic_norm(gram_or_spec)
-    t = float(t)
+    t = _real(t, "t")
     x, y = _vector_pair(spec, x, y)
     nxy = n_eval(spec, x, y, t)
     nyx = n_eval(spec, y, x, t)

@@ -20,12 +20,14 @@ import numpy as np
 
 from .errors import NormGeoError, ZeroVectorError
 from .norms import (
+    _BATCH_STREAM,
     _blocks,
     _check_count,
     _chunks,
     _pair_block,
     _Report,
     _norm_rows,
+    _real,
     _vector_pair,
     norm_eval,
 )
@@ -58,7 +60,6 @@ CONDITIONAL_IDS = (
     InequalityId.LORCH,
 )
 
-_BATCH_STREAM = 1
 _EQUAL_NORM_REL = 1e-9
 
 
@@ -87,7 +88,7 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     if iq is InequalityId.N_ORDERING:
         if t is None:
             raise NormGeoError("N_ORDERING needs t")
-        t = float(t)
+        t = _real(t, "t")
         if not 0.0 <= t <= 1.0:
             raise NormGeoError(f"N_ORDERING needs t in [0, 1], got {t}")
     elif t is not None:
@@ -95,7 +96,7 @@ def evaluate_inequality(iq, spec, x, y, t=None, gamma=None):
     if iq is InequalityId.LORCH:
         if gamma is None:
             raise NormGeoError("LORCH needs gamma")
-        gamma = float(gamma)
+        gamma = _real(gamma, "gamma")
         if gamma == 0.0 or not math.isfinite(gamma):
             raise NormGeoError(f"LORCH needs finite nonzero gamma, got {gamma}")
         nx = norm_eval(spec, x)

@@ -25,12 +25,17 @@ from .errors import (
 LP = "lp"
 WEIGHTED_LP = "weighted_lp"
 QUADRATIC = "quadratic"
+# Each kind's keys, in the order spec_to_dict echoes them.
+_KEYS = {
+    LP: ("kind", "p", "dim"),
+    WEIGHTED_LP: ("kind", "p", "weights", "dim"),
+    QUADRATIC: ("kind", "gram", "dim"),
+}
 
 # Euclidean magnitudes of sampled points. Every quantity the package scores
 # is positively homogeneous in (x, y), so the scale carries no information.
 _RADIUS_RANGE = (0.5, 4.0)
 
-_AXIOM_STREAM = 0
 _AXIOM_TOL = 1e-9
 _GRAM_SYMMETRY_REL = 1e-12
 # Rows of one sampled block: the axiom check, the sweep and the side checks
@@ -51,12 +56,33 @@ _MAX_DIM = 1024
 
 
 def _float_array(value, what, error=NormSpecError):
-    """np.asarray(value, dtype=float), with ragged, non-numeric or
-    out-of-range input reported as `error` instead of a raw numpy error."""
+    """value as a float ndarray, the gate for every array or number from outside:
+    a bool, string or None anywhere in it (which np.asarray reads as 1.0, 3.0
+    or nan), or a ragged, non-numeric or too large value raises `error`."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, (list, tuple)):
+            pending.extend(v)
+        elif isinstance(v, (np.ndarray, np.generic)):
+            if v.dtype.kind not in "iuf":
+                raise error(f"{what} must hold numbers only, got dtype {v.dtype}")
+        elif v is None or isinstance(v, (bool, str, bytes)):
+            raise error(f"{what} must hold numbers only, got {v!r}")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise error(f"{what} is too large for a float ({exc})") from exc
+    except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from exc
+
+
+def _real(value, what, error=NormGeoError):
+    """One real number as a Python float, through _float_array; anything else raises `error`."""
+    v = _float_array(value, what, error)
+    if v.ndim:
+        raise error(f"{what} must be a single number, got shape {v.shape}")
+    return float(v)
 
 
 def _freeze(a):
@@ -79,27 +105,20 @@ class NormSpec:
     _sumsq_lo = _SUMSQ_LO
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise NormSpecError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.dim > _MAX_DIM:
-            raise NormSpecError(f"dim must be at most {_MAX_DIM}, got {self.dim}")
-        if self.kind in (LP, WEIGHTED_LP):
-            p = self.p
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise NormSpecError(f'p must be a number or inf ("inf" in JSON), got {p!r}')
-            try:
-                p = float(p)
-            except OverflowError as exc:
-                raise NormSpecError(f"p is too large for a float ({exc})") from exc
+        keys = _KEYS.get(self.kind) if isinstance(self.kind, str) else None
+        if keys is None:
+            raise NormSpecError(f"unknown norm kind {self.kind!r}")
+        _check_count("dim", self.dim, highest=_MAX_DIM, error=NormSpecError)
+        object.__setattr__(self, "dim", int(self.dim))
+        for key in ("p", "weights", "gram"):
+            if key not in keys and getattr(self, key) is not None:
+                raise NormSpecError(f"{self.kind} norm takes no {key}")
+        if "p" in keys:
+            p = _real(self.p, "p", NormSpecError)
             if math.isnan(p) or p < 1.0:
                 raise NormSpecError(f"p must satisfy p >= 1, got {p}")
             object.__setattr__(self, "p", p)
-        if self.kind == LP:
-            if self.weights is not None or self.gram is not None:
-                raise NormSpecError("lp norm takes no weights or gram")
-        elif self.kind == WEIGHTED_LP:
-            if self.gram is not None:
-                raise NormSpecError("weighted_lp norm takes no gram")
+        if self.kind == WEIGHTED_LP:
             w = _float_array(self.weights, "weights")
             if w.ndim != 1 or w.size != self.dim:
                 raise NormSpecError("weights must be a flat list of length dim")
@@ -108,8 +127,6 @@ class NormSpec:
             object.__setattr__(self, "weights", _freeze(w))
             object.__setattr__(self, "_sumsq_lo", _SUMSQ_LO * max(1.0, float(w.max())))
         elif self.kind == QUADRATIC:
-            if self.p is not None or self.weights is not None:
-                raise NormSpecError("quadratic norm takes only a gram matrix")
             g = _float_array(self.gram, "gram")
             if g.shape != (self.dim, self.dim):
                 raise NormSpecError(
@@ -118,8 +135,6 @@ class NormSpec:
             chol = gram_validate(g)
             object.__setattr__(self, "gram", _freeze(g))
             object.__setattr__(self, "chol", _freeze(chol))
-        else:
-            raise NormSpecError(f"unknown norm kind {self.kind!r}")
 
 
 def lp_norm(p, dim):
@@ -184,7 +199,7 @@ def norm_eval(spec, x):
     Returns a float for a single vector, an array of norms otherwise.
     The zero vector maps to exactly 0.0.
     """
-    v = np.asarray(x, dtype=float)
+    v = _float_array(x, "x", NormGeoError)
     if v.ndim == 0 or v.shape[-1] != spec.dim:
         raise DimensionMismatchError(
             f"expected vectors of length {spec.dim}, got shape {v.shape}"
@@ -306,7 +321,7 @@ def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
         or value < lowest
         or (highest is not None and value > highest)
     ):
-        bound = f">= {lowest}" if highest is None else f"in [{lowest}, {highest}]"
+        bound = f">= {lowest}" + ("" if highest is None else f" and at most {highest}")
         raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
@@ -331,6 +346,14 @@ def _plain(value):
     if isinstance(value, dict):
         return {_plain(k): _plain(v) for k, v in value.items()}
     return value
+
+
+# One sample-stream tag per consumer, so none moves another's bits; the next takes 5.
+_AXIOM_STREAM = 0
+_BATCH_STREAM = 1
+_SEARCH_STREAM = 2
+_DW_STREAM = 3
+_PG_STREAM = 4
 
 
 def stream(seed, *key):
@@ -402,7 +425,7 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     """
     _check_count("trials", trials, error=NormSpecError)
     _check_count("seed", seed, 0)
-    tol = _AXIOM_TOL if tol is None else float(tol)
+    tol = _AXIOM_TOL if tol is None else _real(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise NormGeoError(f"tol must be finite and >= 0, got {tol}")
     worst_h = 0.0
@@ -433,34 +456,6 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     )
 
 
-# Each kind's keys, in the order spec_to_dict echoes them.
-_KEYS = {
-    LP: ("kind", "p", "dim"),
-    WEIGHTED_LP: ("kind", "p", "weights", "dim"),
-    QUADRATIC: ("kind", "gram", "dim"),
-}
-
-
-def _parse_p(raw):
-    """p from JSON: the string "inf" (any case) is math.inf; NormSpec checks
-    anything else."""
-    if isinstance(raw, str) and raw.strip().lower() == "inf":
-        return math.inf
-    return raw
-
-
-def _check_numbers(value, what):
-    """Reject a bool or string anywhere in a JSON array, which float() would
-    read as a number (true as 1.0, "3" as 3.0)."""
-    pending = [value]
-    while pending:
-        v = pending.pop()
-        if isinstance(v, list):
-            pending.extend(v)
-        elif isinstance(v, (bool, str)):
-            raise NormSpecError(f"{what} must hold numbers only, got {v!r}")
-
-
 def parse_norm_spec(obj):
     """Build a NormSpec from a parsed JSON object; unknown keys are rejected."""
     if isinstance(obj, (str, bytes)):
@@ -480,9 +475,9 @@ def parse_norm_spec(obj):
         raise NormSpecError(f"unknown keys for kind {kind!r}: {sorted(extra)}")
     if missing:
         raise NormSpecError(f"missing keys for kind {kind!r}: {sorted(missing)}")
-    for key in ("weights", "gram"):
-        _check_numbers(obj.get(key), key)
-    p = _parse_p(obj["p"]) if "p" in obj else None
+    p = obj.get("p")
+    if isinstance(p, str) and p.strip().lower() == "inf":  # NormSpec checks any other p
+        p = math.inf
     return NormSpec(kind, obj["dim"], p, obj.get("weights"), obj.get("gram"))
 
 

@@ -101,6 +101,9 @@ def test_search_validation():
         (dict(iters_per_restart=1.5), "iters_per_restart"),
         (dict(seed=-1), "seed"),
         (dict(seed=2.5), "seed"),
+        (dict(dim=3.0), "dim"),
+        (dict(dim="2"), "dim"),
+        (dict(dim=0), "dim"),
     ):
         with pytest.raises(ng.NormGeoError, match=name):
             SearchConfig(**{"dim": 2, "seed": 1, **bad})

@@ -332,12 +332,80 @@ def test_malformed_weights_and_gram_are_spec_errors():
         '{"kind":"weighted_lp","p":2,"weights":"12","dim":2}',
         '{"kind":"quadratic","gram":[[1.0,0.0],[0.0,true]],"dim":2}',
         '{"kind":"quadratic","gram":[[1.0,"0"],[0.0,1.0]],"dim":2}',
+        pytest.param(lambda: ng.weighted_lp_norm(2, [True, "3"]), id="weighted_lp_norm"),
+        pytest.param(lambda: ng.quadratic_norm([[True, "0"], [0, 1]]), id="quadratic_norm"),
+        pytest.param(lambda: ng.NormSpec("weighted_lp", 2, 2, [1.0, "2"]), id="NormSpec"),
+        pytest.param(lambda: ng.gram_validate([[1.0, 0.0], [0.0, True]]), id="gram_validate"),
+        pytest.param(lambda: ng.weighted_lp_norm(2, np.ones(2, dtype=bool)), id="numpy-bool"),
+        pytest.param(lambda: ng.weighted_lp_norm(2, [1.0, None]), id="None-entry"),
     ],
 )
 def test_weights_and_gram_hold_numbers_only(text):
-    # float() would read true as 1.0 and "3" as 3.0; p already rejects both
+    # np.asarray would read true as 1.0, "3" as 3.0 and None as nan
     with pytest.raises(ng.NormSpecError, match="numbers only"):
-        ng.parse_norm_spec(text)
+        ng.parse_norm_spec(text) if isinstance(text, str) else text()
+
+
+_X, _Y = [0.0, 2.0], [2.0, -1.0]
+_L2 = ng.lp_norm(2, 2)
+# every library argument that takes one number, an array or a count, as a
+# call of the value
+_NUMBER_SLOTS = {
+    "lp_norm.p": lambda v: ng.lp_norm(v, 2),
+    "lp_norm.dim": lambda v: ng.lp_norm(2, v),
+    "weighted_lp_norm.p": lambda v: ng.weighted_lp_norm(v, [1.0, 2.0]),
+    "weighted_lp_norm.weights": lambda v: ng.weighted_lp_norm(2, v),
+    "quadratic_norm.gram": ng.quadratic_norm,
+    "gram_validate": ng.gram_validate,
+    "NormSpec.dim": lambda v: ng.NormSpec("lp", v, 2),
+    "norm_eval.x": lambda v: ng.norm_eval(ng.lp_norm(2, 3), v),
+    "validate_norm_axioms.tol": lambda v: ng.validate_norm_axioms(_L2, 8, 1, tol=v),
+    "n_eval.t": lambda v: ng.n_eval(_L2, _X, _Y, v),
+    "n_eval.x": lambda v: ng.n_eval(ng.lp_norm(2, 3), v, [1.0, 2.0, 3.0], 0.5),
+    "n_curve.t_min": lambda v: ng.n_curve(_L2, _X, _Y, v, 1.0, 3),
+    "n_curve.t_max": lambda v: ng.n_curve(_L2, _X, _Y, 0.0, v, 3),
+    "one_sided_derivative.t": lambda v: ng.one_sided_derivative(_L2, _X, _Y, v, "right"),
+    "convexity_defect.grid": lambda v: ng.convexity_defect(_L2, _X, _Y, v),
+    "reflection_identity_defect.t": lambda v: ng.reflection_identity_defect(_L2, _X, _Y, v),
+    "reciprocal_order_agreement.t": lambda v: ng.reciprocal_order_agreement(_L2, _X, _Y, v),
+    "quadratic_difference_defect.t": lambda v: ng.quadratic_difference_defect(
+        np.eye(2), _X, _Y, v
+    ),
+    "evaluate_inequality.t": lambda v: ng.evaluate_inequality("N_ORDERING", _L2, _X, _Y, t=v),
+    "evaluate_inequality.gamma": lambda v: ng.evaluate_inequality(
+        "LORCH", _L2, [1.0, 0.0], [0.0, 1.0], gamma=v
+    ),
+    "SearchConfig.dim": lambda v: ng.SearchConfig(dim=v, seed=1),
+}
+# None is tol's default, and [1, 2] a valid weights vector
+_VALID_HERE = [("validate_norm_axioms.tol", None), ("weighted_lp_norm.weights", [1, 2])]
+
+
+def _error_for(slot):
+    """The constructors raise NormSpecError, every other function NormGeoError."""
+    makers = ("lp_norm", "weighted_lp_norm", "quadratic_norm", "gram_validate", "NormSpec")
+    return ng.NormSpecError if slot.split(".")[0] in makers else ng.NormGeoError
+
+
+@pytest.mark.parametrize(
+    "slot, value",
+    [
+        (slot, value)
+        for slot in sorted(_NUMBER_SLOTS)
+        for value in ("x", None, True, [1, 2])
+        if (slot, value) not in _VALID_HERE
+    ],
+)
+def test_malformed_numbers_raise_the_package_error(slot, value):
+    with pytest.raises(_error_for(slot)):
+        _NUMBER_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize("p", [np.int64(3), np.float32(2.5)], ids=repr)
+def test_numpy_dim_and_p_are_accepted(p):
+    for spec in (ng.lp_norm(p, np.int64(2)), ng.weighted_lp_norm(p, np.ones(2))):
+        assert type(spec.dim) is int and type(spec.p) is float and spec.p == float(p)
+        assert json.loads(json.dumps(ng.spec_to_dict(spec)))["dim"] == 2
 
 
 # what json.loads can return, including integers too large for a float
@@ -380,6 +448,15 @@ def test_parse_norm_spec_raises_only_norm_spec_error(obj):
     try:
         ng.parse_norm_spec(obj)
     except ng.NormSpecError:
+        pass
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(slot=st.sampled_from(sorted(_NUMBER_SLOTS)), value=_JSON_VALUES)
+def test_number_arguments_raise_only_the_package_error(slot, value):
+    try:
+        _NUMBER_SLOTS[slot](value)
+    except _error_for(slot):
         pass
 
 
