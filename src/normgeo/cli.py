@@ -21,6 +21,7 @@ import tempfile
 
 from . import __version__
 from .detect import (
+    _SIDE_BUDGET,
     VIOLATED,
     SearchConfig,
     detect_inner_product,
@@ -222,7 +223,9 @@ def _build_parser():
 
     p = sub.add_parser("dw-constant", help="estimate the best angular-distance constant")
     common(p, dim=True)
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument(
+        "--budget", type=int, default=_SIDE_BUDGET, help="pairs sampled before the refine"
+    )
     p.set_defaults(fn=_cmd_dw_constant)
 
     return parser

@@ -57,7 +57,8 @@ _DECREASE_RHO = 1e-4
 _NOISE_REL = 1e-12
 _STENCIL_CELLS = 1 << 22  # doubles in the poll stencils of one fn call (32 MiB)
 _VIOLATION_THRESHOLD = 1e-7
-_SIDE_BUDGET = 4000
+_SIDE_BUDGET = 4000  # pairs a side check samples by default
+_REFINE_BUDGET = 1000  # evaluations of each kept pair's refine
 _REFINE_TOP = 8
 _PG_DISCREPANCY = 1e-6
 _DW_SEPARATION_REL = 1e-8
@@ -82,10 +83,15 @@ class SearchConfig(_Report):
     iters_per_restart: int = 2000
 
     def __post_init__(self):
-        _check_count("dim", self.dim)
-        _check_count("seed", self.seed, 0)
-        _check_count("restarts", self.restarts, highest=_MAX_RESTARTS)
-        _check_count("iters_per_restart", self.iters_per_restart)
+        # stored as Python ints, so to_dict() is JSON-ready
+        counts = {
+            "dim": _check_count("dim", self.dim),
+            "seed": _check_count("seed", self.seed, 0),
+            "restarts": _check_count("restarts", self.restarts, highest=_MAX_RESTARTS),
+            "iters_per_restart": _check_count("iters_per_restart", self.iters_per_restart),
+        }
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class SearchResult(_Report):
     budget_stops: int
 
 
-def _compass_search(fn, p0, max_evals, lo, hi, project):
+def _compass_search(fn, p0, max_evals, lo, hi, project, pattern=False):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
     fn(q, rows) scores an (m, n) stack q of points, where rows[i] is the
@@ -128,6 +134,16 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     one tick per move or sweep instead of one per evaluation, whichever
     rows share the call. A tick splits its rows over several fn calls only
     when their stencils would pass _STENCIL_CELLS doubles together.
+
+    With pattern=True each row also makes the Hooke-Jeeves pattern move
+    (Hooke & Jeeves, J. ACM 8(2), 1961). A row's anchor is the point its
+    last sweep ended on (its start before the first sweep ends). When a
+    sweep with a move ends on p and budget is left, the row polls
+    z = project(clip(p + (p - anchor))) at the cost of one evaluation, even
+    if z == p, and takes z if it passes the same sufficient-decrease test
+    as any poll. Either way the anchor becomes p, and the next sweep starts
+    at coordinate 0 with the same step. The rows' z polls share one fn
+    call per tick.
     Returns the best values, points and evaluations per row.
     """
     p = project(np.clip(p0, lo, hi))
@@ -156,6 +172,7 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
     need = _sufficient(val, tol)
     pos = np.zeros(ids.size, dtype=np.int64)  # next poll: 2 * coordinate + (0: +step, 1: -step)
     improved = np.zeros(ids.size, dtype=bool)
+    anchor = at.copy()
     while ids.size:
         for start in range(0, ids.size, chunk):
             sl = slice(start, start + chunk)
@@ -199,14 +216,29 @@ def _compass_search(fn, p0, max_evals, lo, hi, project):
             delta[shrink] = sign * step[shrink, None]
             tol[shrink] = _DECREASE_RHO * (step[shrink] * step[shrink])
             need[shrink] = _sufficient(val[shrink], tol[shrink])
+        if pattern:
+            # rows whose sweep just ended with a move poll their pattern point
+            g = np.flatnonzero(wrap & improved & (used < max_evals))
+            end = at[g]
+            z = end + (end - anchor[g])
+            anchor[wrap] = at[wrap]
+            if g.size:
+                z = project(np.clip(z, lo, hi))
+                v = fn(z, ids[g])
+                used[g] += 1
+                hit = v > need[g]
+                h = g[hit]
+                at[h], val[h] = z[hit], v[hit]
+                need[h] = _sufficient(val[h], tol[h])
         improved &= ~wrap
         pos[wrap] = 0
         alive = (used < max_evals) & (step >= _STEP_FLOOR)
         if not alive.all():
             done = ids[~alive]
             best[done], p[done], evals[done] = val[~alive], at[~alive], used[~alive]
-            ids, at, val, used, step, delta, tol, need, pos, improved = (
-                a[alive] for a in (ids, at, val, used, step, delta, tol, need, pos, improved)
+            state = (ids, at, val, used, step, delta, tol, need, pos, improved, anchor)
+            ids, at, val, used, step, delta, tol, need, pos, improved, anchor = (
+                a[alive] for a in state
             )
     return best, p, evals
 
@@ -456,10 +488,14 @@ def _refine_pairs(spec, budget, seed, checks):
     searches use, refines every check's kept pairs at once, each row scored
     by its own check; a row's trajectory does not depend on the rows
     beside it, so each check reports the same bits as when run alone.
+    A refine has _REFINE_BUDGET evaluations and makes the engine's pattern
+    move: the side values are scale-free (degree 0), so the move follows
+    their ridges without climbing the scale, as it would on the degree-1
+    violation objectives.
     """
     dim = spec.dim
-    _check_count("budget", budget)
-    _check_count("seed", seed, 0)
+    budget = _check_count("budget", budget)
+    seed = _check_count("seed", seed, 0)
     tops = [_top_pairs(spec, budget, seed, check) for check in checks]
     # one check's kept pairs after another, so owner does not decrease
     owner = np.concatenate([np.full(len(top_s), k) for k, (top_s, *_) in enumerate(tops)])
@@ -468,10 +504,11 @@ def _refine_pairs(spec, budget, seed, checks):
         vals, points, evals = _compass_search(
             lambda q, rows: _side_values(spec, checks, owner[rows], q[:, :dim], q[:, dim:]),
             starts,
-            _SIDE_BUDGET,
+            _REFINE_BUDGET,
             np.full(2 * dim, -math.inf),
             np.full(2 * dim, math.inf),
             _make_project(dim),
+            pattern=True,
         )
     results = []
     for k, (top_s, top_x, top_y, first, skipped) in enumerate(tops):
@@ -485,7 +522,7 @@ def _refine_pairs(spec, budget, seed, checks):
             if val > best_val:
                 best_val = float(val)
                 best_pair = (p[:dim].copy(), p[dim:].copy())
-        stops = int((evals[mine] >= _SIDE_BUDGET).sum())
+        stops = int((evals[mine] >= _REFINE_BUDGET).sum())
         used = budget + int(evals[mine].sum())
         results.append(RefinedMaxResult(best_val, *best_pair, used, stops, skipped))
     return results
@@ -555,8 +592,8 @@ def detect_inner_product(spec, config, workers=1, side_budget=_SIDE_BUDGET):
     part returns the same bits either way, so the report does not depend
     on workers. Arguments are checked before any process starts.
     """
-    _check_count("workers", workers)
-    _check_count("side_budget", side_budget)
+    workers = _check_count("workers", workers)
+    side_budget = _check_count("side_budget", side_budget)
     _check_dim(spec, config)
     t0 = time.perf_counter()
     # longest first: the order a pool starts them in

@@ -71,7 +71,7 @@ def n_curve(spec, x, y, t_min, t_max, steps):
     t_min, t_max = _real(t_min, "t_min"), _real(t_max, "t_max")
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
         raise NormGeoError(f"need t_min < t_max, got [{t_min}, {t_max}]")
-    _check_count("steps", steps, 2, _MAX_STEPS)
+    steps = _check_count("steps", steps, 2, _MAX_STEPS)
     x, y = _vector_pair(spec, x, y)
     ts = np.linspace(t_min, t_max, steps)
     n_xy = _line_norms(spec, x, y, ts)

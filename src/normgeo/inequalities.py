@@ -304,9 +304,9 @@ def batch_min_slack(iq, spec, trials, seed, workers=1):
     iq = _parse_id(iq)
     if iq not in UNIVERSAL_IDS:
         raise NormGeoError(f"{iq.value} is conditional; violation_search searches it")
-    _check_count("workers", workers)
-    _check_count("trials", trials)
-    _check_count("seed", seed, 0)
+    workers = _check_count("workers", workers)
+    trials = _check_count("trials", trials)
+    seed = _check_count("seed", seed, 0)
     winners = _sweep(spec, trials, seed, workers)
     index, x, y, min_norm_slack = winners[UNIVERSAL_IDS.index(iq)]
     # the replay copies x and y, so no two calls share a witness array

@@ -108,8 +108,8 @@ class NormSpec:
         keys = _KEYS.get(self.kind) if isinstance(self.kind, str) else None
         if keys is None:
             raise NormSpecError(f"unknown norm kind {self.kind!r}")
-        _check_count("dim", self.dim, highest=_MAX_DIM, error=NormSpecError)
-        object.__setattr__(self, "dim", int(self.dim))
+        dim = _check_count("dim", self.dim, highest=_MAX_DIM, error=NormSpecError)
+        object.__setattr__(self, "dim", dim)
         for key in ("p", "weights", "gram"):
             if key not in keys and getattr(self, key) is not None:
                 raise NormSpecError(f"{self.kind} norm takes no {key}")
@@ -313,8 +313,9 @@ def _chunks(count, dim):
 
 
 def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
-    """Require an integer (not a bool) in [lowest, highest]; raise `error`
-    otherwise. The check every library count and seed goes through."""
+    """Require an integer (not a bool) in [lowest, highest] and return it
+    as a Python int; raise `error` otherwise. The check every library
+    count and seed goes through, so a numpy integer reaches no report."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
@@ -323,6 +324,7 @@ def _check_count(name, value, lowest=1, highest=None, error=NormGeoError):
     ):
         bound = f">= {lowest}" + ("" if highest is None else f" and at most {highest}")
         raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 class _Report:
@@ -423,8 +425,8 @@ def validate_norm_axioms(spec, trials, seed, tol=None):
     nonzero samples; both defects must stay within tol (default 1e-9),
     which must be finite and >= 0. Deterministic for a fixed seed.
     """
-    _check_count("trials", trials, error=NormSpecError)
-    _check_count("seed", seed, 0)
+    trials = _check_count("trials", trials, error=NormSpecError)
+    seed = _check_count("seed", seed, 0)
     tol = _AXIOM_TOL if tol is None else _real(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise NormGeoError(f"tol must be finite and >= 0, got {tol}")

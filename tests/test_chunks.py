@@ -47,7 +47,7 @@ def reports(spec):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_chunk_height_moves_no_bit(name, monkeypatch):
     # 1-row chunks send the gram norm down the kernel's 2-row gemm path
-    monkeypatch.setattr(det, "_SIDE_BUDGET", 200)
+    monkeypatch.setattr(det, "_REFINE_BUDGET", 200)
     spec = SPECS[name]
     set_chunk_rows(monkeypatch, norms._BLOCK, spec.dim)
     whole = reports(spec)

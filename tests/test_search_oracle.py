@@ -3,7 +3,8 @@
 The reference below is the plain scalar compass loop: one restart, one
 candidate, one norm_eval-based objective call at a time. The batched
 engine in normgeo.detect must reproduce it exactly, restart by restart:
-the same best value, the same point and the same evaluation count.
+the same best value, the same point and the same evaluation count. The
+side checks' refines add the Hooke-Jeeves pattern move (pattern=True).
 """
 
 import math
@@ -27,16 +28,25 @@ SPECS = {
     "wl1": ng.weighted_lp_norm(1, [0.5, 2.0, 1.25]),
     "gram4": ng.quadratic_norm(random_spd(4, 77)),
 }
-SIDE_BUDGET = 300
+REFINE_BUDGET = 300
 R_LO = 0.5  # lower end of the sampling radius: the projection's floor
 
 
-def ref_compass(fn, p0, step_init, shrink, max_evals, lo, hi, project, skips=None):
+def beats(v, best, step):
+    """Sufficient decrease; a best of -inf takes any finite value."""
+    size = abs(best) if math.isfinite(best) else 0.0
+    return v > best + 1e-4 * (step * step) + 1e-12 * (1.0 + size)
+
+
+def ref_compass(
+    fn, p0, step_init, shrink, max_evals, lo, hi, project, skips=None, pattern=False
+):
     p = project(np.clip(p0, lo, hi))
     best = fn(p)
     evals = 1
     step = step_init
     n = p.size
+    anchor = p  # where the last sweep ended; the start before that
     while step >= 1e-9 and evals < max_evals:
         improved = False
         for i in range(n):
@@ -52,17 +62,25 @@ def ref_compass(fn, p0, step_init, shrink, max_evals, lo, hi, project, skips=Non
                     continue
                 v = fn(q)
                 evals += 1
-                # sufficient decrease; a best of -inf takes any finite value
-                size = abs(best) if math.isfinite(best) else 0.0
-                if v > best + 1e-4 * (step * step) + 1e-12 * (1.0 + size):
+                if beats(v, best, step):
                     p = q
                     best = v
                     improved = True
                     break
             if evals >= max_evals:
                 break
+        end = p
         if not improved:
             step *= shrink
+        elif pattern and evals < max_evals:
+            # the pattern move: one poll as far again past the sweep's end
+            z = project(np.clip(p + (p - anchor), lo, hi))
+            v = fn(z)
+            evals += 1
+            if beats(v, best, step):
+                p = z
+                best = v
+        anchor = end
     return best, p, evals
 
 
@@ -298,7 +316,15 @@ def ref_refine(spec, budget, seed, tag, scalar_fn, block=None):
     for i in top:
         p0 = np.concatenate([xs[i], ys[i]])
         val, p, used = ref_compass(
-            lambda q: scalar_fn(q[:dim], q[dim:]), p0, 0.25, 0.5, SIDE_BUDGET, lo, hi, project
+            lambda q: scalar_fn(q[:dim], q[dim:]),
+            p0,
+            0.25,
+            0.5,
+            REFINE_BUDGET,
+            lo,
+            hi,
+            project,
+            pattern=True,
         )
         evals += used
         if val > best_val:
@@ -336,7 +362,7 @@ def pg_scalar(spec):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_side_check_refine_matches_scalar_reference(name, monkeypatch):
-    monkeypatch.setattr(det, "_SIDE_BUDGET", SIDE_BUDGET)
+    monkeypatch.setattr(det, "_REFINE_BUDGET", REFINE_BUDGET)
     spec = SPECS[name]
     for search, tag, scalar in (
         (det.dw_constant_estimate, 3, dw_scalar(spec)),
@@ -358,14 +384,14 @@ def test_blocked_side_check_matches_unblocked_selection(spec, monkeypatch):
     # the "vanishing" norm is l_3 scaled by 1e-12, so some pairs fall on
     # or below the 1e-12 floor and are skipped
     # 5 blocks of at most 7 pairs, so the running top 8 merges across blocks
-    monkeypatch.setattr(det, "_SIDE_BUDGET", SIDE_BUDGET)
+    monkeypatch.setattr(det, "_REFINE_BUDGET", REFINE_BUDGET)
     monkeypatch.setattr(norms, "_BLOCK", 7)
     starts = []
     engine = det._compass_search
 
-    def spy(fn, p0, *args):
+    def spy(fn, p0, *args, **kwargs):
         starts.append(p0.copy())
-        return engine(fn, p0, *args)
+        return engine(fn, p0, *args, **kwargs)
 
     monkeypatch.setattr(det, "_compass_search", spy)
     res = det.dw_constant_estimate(spec, 30, 13)
@@ -501,3 +527,57 @@ def test_rows_of_two_objectives_in_one_call_match_separate_calls(
         )
         assert (vals[r], evals[r]) == (val, used), r
         assert np.array_equal(points[r], p), r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=st.lists(st.integers(0, 1), min_size=1, max_size=7),
+    budget=st.integers(1, 60),
+    pinned=st.lists(st.booleans(), min_size=4, max_size=4),
+    cells=st.sampled_from([1, det._STENCIL_CELLS]),
+)
+def test_pattern_move_rows_match_scalar_reference(seed, labels, budget, pinned, cells):
+    # As above, with the pattern move: a budget may run out on a pattern
+    # poll, and a pinned or clamped coordinate stays put in the pattern point.
+    labels = np.array(labels)
+    p0 = 3.0 * np.random.default_rng(seed).normal(size=(len(labels), 4))
+    pin = np.array([0.5, -0.25, 0.0, 1.0])
+    lo = np.where(pinned, pin, [-math.inf, -math.inf, -1.0, -math.inf])
+    hi = np.where(pinned, pin, [math.inf, math.inf, 1.0, math.inf])
+    fns = (toy_fn, toy_fn2)
+
+    def labelled(q, rows):
+        assert np.all(np.diff(rows) >= 0)
+        return np.where(labels[rows] == 0, toy_fn(q, rows), toy_fn2(q, rows))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(det, "_STENCIL_CELLS", cells)
+        vals, points, evals = det._compass_search(
+            labelled, p0, budget, lo, hi, lambda q: q, pattern=True
+        )
+    for r, k in enumerate(labels):
+        val, p, used = ref_compass(
+            lambda q: fns[k](q[None], [r])[0],
+            p0[r],
+            0.25,
+            0.5,
+            budget,
+            lo,
+            hi,
+            lambda q: q,
+            pattern=True,
+        )
+        assert (vals[r], evals[r]) == (val, used), r
+        assert np.array_equal(points[r], p), r
+
+
+def test_pattern_move_reaches_a_far_optimum_in_fewer_evaluations():
+    # From starts about 20 away, the plain search gains at most one step
+    # per coordinate and sweep; the pattern move doubles each sweep's stride.
+    p0 = 20.0 * np.random.default_rng(6).normal(size=(5, 4))
+    none = np.full(4, -math.inf), np.full(4, math.inf)
+    plain = det._compass_search(toy_fn, p0, 5000, *none, lambda q: q)
+    fast = det._compass_search(toy_fn, p0, 5000, *none, lambda q: q, pattern=True)
+    assert (fast[2] < plain[2]).all() and (plain[2] < 5000).all()
+    assert (fast[0] >= plain[0] - 1e-6).all()

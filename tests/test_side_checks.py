@@ -32,17 +32,20 @@ SEED = 11
 
 
 def bits(report):
-    # json writes each float's repr, so equal strings mean equal bits
-    return json.dumps(report.to_dict(), sort_keys=True)
+    # json writes each float's repr, so equal strings mean equal bits;
+    # wall_time_s is the one field that varies between runs
+    out = report.to_dict()
+    out.pop("wall_time_s", None)
+    return json.dumps(out, sort_keys=True)
 
 
 def fused_and_alone(spec, side_budget):
     engine = det._compass_search
     rows = []
 
-    def spy(fn, p0, *args):
+    def spy(fn, p0, *args, **kwargs):
         rows.append(len(p0))
-        return engine(fn, p0, *args)
+        return engine(fn, p0, *args, **kwargs)
 
     config = ng.SearchConfig(dim=spec.dim, seed=SEED, restarts=2, iters_per_restart=30)
     with pytest.MonkeyPatch.context() as mp:
@@ -79,7 +82,7 @@ def test_fused_side_checks_match_the_standalone_ones(name):
 def test_fused_side_checks_match_with_small_blocks_and_budget(name, monkeypatch):
     # 9 blocks of at most 7 pairs, so each running top merges across
     # blocks, and refines of 37 evaluations that end on their budget
-    monkeypatch.setattr(det, "_SIDE_BUDGET", 37)
+    monkeypatch.setattr(det, "_REFINE_BUDGET", 37)
     monkeypatch.setattr(norms, "_BLOCK", 7)
     verdict, (dw, pg), _ = fused_and_alone(SPECS[name], 60)
     assert bits(verdict.dw_estimate) == bits(dw)
@@ -125,3 +128,51 @@ def test_alpha_beta_score_reuses_the_decoder_norms_bit_for_bit(monkeypatch):
     calls = counting_kernel(monkeypatch)
     assert np.array_equal(det._score_points(spec, InequalityId.ALPHA_BETA, q), lhs - rhs)
     assert calls == [7, 7, 7, 7]
+
+
+def test_numpy_integer_counts_report_plain_ints():
+    # numpy integers pass the count gate as Python ints, so every report
+    # they reach stays JSON-ready and equal to the one built from ints
+    spec = SPECS["l1"]
+    i64 = np.int64
+    config = ng.SearchConfig(dim=i64(2), seed=i64(1), restarts=i64(2), iters_per_restart=i64(30))
+    plain = ng.SearchConfig(dim=2, seed=1, restarts=2, iters_per_restart=30)
+    assert all(type(v) is int for v in config.to_dict().values())
+    pairs = [
+        (config, plain),
+        (det.dw_constant_estimate(spec, i64(300), 3), det.dw_constant_estimate(spec, 300, 3)),
+        (
+            det.parallelogram_defect_search(spec, i64(300), 3),
+            det.parallelogram_defect_search(spec, 300, 3),
+        ),
+        (
+            det.detect_inner_product(spec, config, side_budget=i64(50)),
+            det.detect_inner_product(spec, plain, side_budget=50),
+        ),
+    ]
+    for got, want in pairs:
+        assert bits(got) == bits(want)
+
+
+# Known optima: the DW constant is at most 4 and the relative parallelogram
+# defect at most 2 on any norm, both reached on l_1 and l_inf; on an
+# inner-product norm they are 2 and 0. Each case: the range its value must
+# fall in at the default budget.
+GRAM6 = ng.quadratic_norm(random_spd(6, 5))
+QUALITY = {
+    "l1-dw": (ng.lp_norm(1, 2), det.dw_constant_estimate, 3.998, math.inf),
+    "l1-pg": (ng.lp_norm(1, 2), det.parallelogram_defect_search, 2.0 - 1e-9, 2.0 + 1e-9),
+    "linf-dw": (ng.lp_norm(math.inf, 2), det.dw_constant_estimate, 3.96, math.inf),
+    "wl1-pg": (ng.weighted_lp_norm(1, [0.5, 2.0]), det.parallelogram_defect_search, 1.9999, 2.0),
+    "l2-dw": (ng.lp_norm(2, 3), det.dw_constant_estimate, -math.inf, 2.0 + 1e-9),
+    "l2-pg": (ng.lp_norm(2, 3), det.parallelogram_defect_search, -math.inf, 1e-9),
+    "gram6-dw": (GRAM6, det.dw_constant_estimate, -math.inf, 2.0 + 1e-9),
+    "gram6-pg": (GRAM6, det.parallelogram_defect_search, -math.inf, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUALITY))
+def test_side_checks_come_close_to_the_known_optimum(case):
+    spec, search, lowest, highest = QUALITY[case]
+    value = search(spec, det._SIDE_BUDGET, 20240805).value
+    assert lowest <= value <= highest
