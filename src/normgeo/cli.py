@@ -129,6 +129,7 @@ def _cmd_curve(args):
         sys.stdout.write(text)
     return 0
 
+
 def _cmd_inequalities(args):
     spec = _load(args)
     results = {}

@@ -48,7 +48,12 @@ VIOLATED = "VIOLATED"
 CONSISTENT = "CONSISTENT"
 
 _STEP_INIT = 0.25
+# The step factor after a sweep without an improvement: the side checks'
+# refines halve their step, the violation searches quarter it and reach the
+# floor in 14 levels instead of 28 (any factor in (0, 1) keeps the search
+# convergent; MADS refines its mesh by 4).
 _STEP_SHRINK = 0.5
+_SEARCH_SHRINK = 0.25
 _STEP_FLOOR = 1e-9
 # Sufficient decrease: a poll counts only if it beats the best by more than
 # _DECREASE_RHO * step**2 + _NOISE_REL * (1 + |best|), so a search on a flat
@@ -105,7 +110,7 @@ class SearchResult(_Report):
     budget_stops: int
 
 
-def _compass_search(fn, p0, max_evals, lo, hi, project, pattern=False):
+def _compass_search(fn, p0, max_evals, lo, hi, project, pattern=False, shrink=_STEP_SHRINK):
     """Greedy compass search from every row of p0 at once, maximizing fn.
 
     fn(q, rows) scores an (m, n) stack q of points, where rows[i] is the
@@ -114,10 +119,11 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, pattern=False):
     follows the trajectory a lone search from it would: poll the 2n
     points +-step along each coordinate in order, +step before -step;
     take the first sufficient improvement and go on to the next
-    coordinate; halve the step (from 0.25) after a sweep without one. A
-    poll value v improves on the best b only if v > b + 1e-4 * step**2 +
-    1e-12 * (1 + |b|): a decrease of order step**2 (Kolda, Lewis &
-    Torczon, SIAM Review 45(3), 2003) and a relative rounding-noise floor.
+    coordinate; multiply the step (from 0.25) by shrink after a sweep
+    without one. A poll value v improves on the best b only if
+    v > b + 1e-4 * step**2 + 1e-12 * (1 + |b|): a decrease of order
+    step**2 (Kolda, Lewis & Torczon, SIAM Review 45(3), 2003) and a
+    relative rounding-noise floor.
     A best of -inf takes any finite value. A poll is clamped to [lo, hi]
     and projected into the feasible set (project must keep a point inside
     [lo, hi]); one that leaves its own coordinate unchanged is skipped and
@@ -210,12 +216,12 @@ def _compass_search(fn, p0, max_evals, lo, hi, project, pattern=False):
                 need[moved] = _sufficient(val[moved], tol[moved])
             used[sl] += last
         wrap = pos == width
-        shrink = wrap & ~improved
-        if shrink.any():
-            step[shrink] *= _STEP_SHRINK
-            delta[shrink] = sign * step[shrink, None]
-            tol[shrink] = _DECREASE_RHO * (step[shrink] * step[shrink])
-            need[shrink] = _sufficient(val[shrink], tol[shrink])
+        failed = wrap & ~improved
+        if failed.any():
+            step[failed] *= shrink
+            delta[failed] = sign * step[failed, None]
+            tol[failed] = _DECREASE_RHO * (step[failed] * step[failed])
+            need[failed] = _sufficient(val[failed], tol[failed])
         if pattern:
             # rows whose sweep just ended with a move poll their pattern point
             g = np.flatnonzero(wrap & improved & (used < max_evals))
@@ -263,6 +269,8 @@ def _decode_points(spec, objective, q):
     to ||x|| on the rows that count and keeps the raw y on the rest; its
     gamma is the positive exp(q[-1]), because negating gamma negates
     gamma*x + y/gamma and leaves its norm, and so the slack, unchanged.
+    Its extra also holds the ||x|| rows as "nx", the scale its score is
+    divided by; the formula table reads nx for ALPHA_BETA only.
     """
     d = spec.dim
     xs, ys = q[:, :d], q[:, d : 2 * d]
@@ -279,18 +287,29 @@ def _decode_points(spec, objective, q):
     # math.exp, not np.exp, so a witness's gamma replays to the bit; a
     # stack repeats each restart's log-gamma in all but two of its polls.
     logs, back = np.unique(q[:, -1], return_inverse=True)
-    return ok, xs, ys, {"gammas": np.array([math.exp(v) for v in logs.tolist()])[back]}
+    gammas = np.array([math.exp(v) for v in logs.tolist()])[back]
+    return ok, xs, ys, {"gammas": gammas, "nx": nx}
 
 
-def _score_points(spec, objective, q):
+def _score_points(spec, objective, q, per_scale=True):
     """-slack of each parameter row (higher = worse violation); rows the
-    decoder does not count score -inf."""
+    decoder does not count score -inf.
+
+    With per_scale, LORCH's -slack is divided by ||x||, which is
+    max(||x||, ||y||) once the decoder has rescaled y to it: the slack is
+    homogeneous of degree 1, so the score is the same at every scale and a
+    search gains nothing by climbing it. Without, every score is the raw
+    -slack, the value a witness replays to.
+    """
     ok, xs, ys, extra = _decode_points(spec, objective, q)
     rows = slice(None) if ok.all() else ok  # a slice takes views, not copies
     extra = {key: v[rows] for key, v in extra.items()}
     lhs, rhs = _batch_lhs_rhs(objective, spec, xs[rows], ys[rows], **extra)
+    score = lhs - rhs
+    if per_scale and objective is InequalityId.LORCH:
+        score = score / extra["nx"]
     out = np.full(len(q), -math.inf)
-    out[rows] = lhs - rhs
+    out[rows] = score
     return out
 
 
@@ -341,6 +360,7 @@ def _search_restarts(spec, objective, config):
         lo,
         hi,
         _make_project(d),
+        shrink=_SEARCH_SHRINK,
     )
     return best, p, signs, evals
 
@@ -355,9 +375,12 @@ def violation_search(spec, objective, config):
 
     All restarts advance together on one thread, and restart r draws from
     the (seed, objective, r) stream, so adding restarts can only improve
-    the result (ties keep the earliest restart). The witness is the best
-    restart's point put through the search's own decoder, so it replays
-    to the reported slack bit for bit.
+    the best score (ties keep the earliest restart). For LORCH the score
+    is scale-free, -slack / ||x|| (_score_points): adding restarts can only
+    improve that value, not the raw violation. The witness is the best
+    restart's point put through the search's own decoder, and
+    best_violation and witness_slack are its raw -slack and slack, so it
+    replays to the reported slack bit for bit.
     """
     objective = _parse_id(objective)
     if objective not in CONDITIONAL_IDS:
@@ -365,8 +388,9 @@ def violation_search(spec, objective, config):
     _check_dim(spec, config)
     vals, points, signs, evals = _search_restarts(spec, objective, config)
     r_best = int(np.argmax(vals))
-    val = float(vals[r_best])
-    _, xs, ys, extra = _decode_points(spec, objective, points[r_best : r_best + 1])
+    best = points[r_best : r_best + 1]
+    val = float(_score_points(spec, objective, best, per_scale=False)[0])
+    _, xs, ys, extra = _decode_points(spec, objective, best)
     witness = Witness(
         x=xs[0].copy(),
         y=ys[0].copy(),
@@ -488,10 +512,10 @@ def _refine_pairs(spec, budget, seed, checks):
     searches use, refines every check's kept pairs at once, each row scored
     by its own check; a row's trajectory does not depend on the rows
     beside it, so each check reports the same bits as when run alone.
-    A refine has _REFINE_BUDGET evaluations and makes the engine's pattern
-    move: the side values are scale-free (degree 0), so the move follows
-    their ridges without climbing the scale, as it would on the degree-1
-    violation objectives.
+    A refine has _REFINE_BUDGET evaluations, halves its step after a
+    failed sweep and makes the engine's pattern move: the side values are
+    scale-free (degree 0), so the move follows their ridges without
+    climbing the scale, as it would on N_ORDERING's degree-1 score.
     """
     dim = spec.dim
     budget = _check_count("budget", budget)

@@ -70,11 +70,12 @@ def test_more_restarts_never_hurt():
 def test_flat_optimum_stops_well_inside_the_budget():
     # On an inner-product norm every LORCH slack is 0 up to rounding; the
     # sufficient-decrease rule lets restarts reach the step floor instead of
-    # climbing rounding noise until their budgets run out.
+    # climbing rounding noise until their budgets run out, and quartering
+    # the step after a failed sweep gets them there in 14 levels, not 28.
     spec = ng.quadratic_norm(random_spd(4, 77))
     cfg = SearchConfig(dim=4, seed=20240805, restarts=16)
     res = violation_search(spec, InequalityId.LORCH, cfg)
-    assert res.evaluations <= 0.6 * cfg.restarts * cfg.iters_per_restart
+    assert res.evaluations <= 0.3 * cfg.restarts * cfg.iters_per_restart
     assert res.best_violation <= 1e-12
     assert res.budget_stops < cfg.restarts
 

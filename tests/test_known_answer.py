@@ -97,13 +97,7 @@ _LADDER = [
         marks=_miss("unflagged CONSISTENT: no search finds the violation "
                     "near p = 2 (ROADMAP item 11)"),
     ),
-    pytest.param(
-        ng.weighted_lp_norm(2, [1e24] * 3),
-        {ng.CONSISTENT},
-        id="l2-weights-1e24",
-        marks=_miss("false VIOLATED: LORCH's rounding noise on norms near 1e12 "
-                    "passes the absolute threshold (ROADMAP item 1)"),
-    ),
+    pytest.param(ng.weighted_lp_norm(2, [1e24] * 3), {ng.CONSISTENT}, id="l2-weights-1e24"),
     pytest.param(
         ng.weighted_lp_norm(1, [1e-14] * 3),
         {ng.VIOLATED, FLAGGED},

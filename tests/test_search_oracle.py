@@ -4,7 +4,9 @@ The reference below is the plain scalar compass loop: one restart, one
 candidate, one norm_eval-based objective call at a time. The batched
 engine in normgeo.detect must reproduce it exactly, restart by restart:
 the same best value, the same point and the same evaluation count. The
-side checks' refines add the Hooke-Jeeves pattern move (pattern=True).
+violation searches multiply their step by detect._SEARCH_SHRINK after a
+failed sweep and score LORCH per unit of ||x||; the side checks' refines
+halve their step and add the Hooke-Jeeves pattern move (pattern=True).
 """
 
 import math
@@ -100,7 +102,10 @@ def ref_project(d, r_lo, fired):
     return project
 
 
-def ref_objective(spec, objective, d, sign):
+def ref_objective(spec, objective, d, sign, per_scale=True):
+    """The search's score of one parameter row: -slack, and for LORCH, with
+    per_scale, -slack / ||x|| (y is rescaled to ||x||)."""
+
     def n(v):
         return norm_eval(spec, v)
 
@@ -131,7 +136,8 @@ def ref_objective(spec, objective, d, sign):
             return -math.inf
         y = yf * (nx / nyf)
         gamma = sign * math.exp(q[-1])
-        return n(x + y) - n(gamma * x + (1.0 / gamma) * y)
+        score = n(x + y) - n(gamma * x + (1.0 / gamma) * y)
+        return score / nx if per_scale else score
 
     return fn
 
@@ -157,7 +163,7 @@ def ref_restart(spec, objective, config, r, fired, skips=None):
         ref_objective(spec, objective, d, sign),
         p0,
         0.25,
-        0.5,
+        det._SEARCH_SHRINK,
         config.iters_per_restart,
         lo,
         hi,
@@ -180,7 +186,9 @@ def test_restarts_match_scalar_reference(name, objective):
         assert evals[r] == used, r
     res = det.violation_search(spec, objective, config)
     first_best = max(range(len(refs)), key=lambda r: (refs[r][0], -r))
-    assert res.witness_slack == -refs[first_best][0]
+    # restarts are ranked by their score; the report holds the raw slack
+    raw = ref_objective(spec, objective, config.dim, 1.0, per_scale=False)
+    assert res.witness_slack == -raw(refs[first_best][1])
     assert res.evaluations == sum(used for _, _, used in refs)
     x, y, t, gamma = ref_witness(spec, objective, config, first_best, refs[first_best][1])
     assert np.array_equal(res.witness.x, x) and np.array_equal(res.witness.y, y)
@@ -581,3 +589,38 @@ def test_pattern_move_reaches_a_far_optimum_in_fewer_evaluations():
     fast = det._compass_search(toy_fn, p0, 5000, *none, lambda q: q, pattern=True)
     assert (fast[2] < plain[2]).all() and (plain[2] < 5000).all()
     assert (fast[0] >= plain[0] - 1e-6).all()
+
+
+@pytest.mark.parametrize("shrink, sweeps", [(0.5, 28), (0.25, 14)])
+def test_flat_objective_ends_every_row_after_one_sweep_per_step_level(shrink, sweeps):
+    # No poll beats a constant best, so every sweep fails and scales the
+    # step from 0.25 by shrink until it drops below 1e-9: 28 levels at 1/2,
+    # 14 at 1/4, each one full sweep of 2n polls.
+    p0 = np.random.default_rng(8).normal(size=(5, 3))
+    none = np.full(3, -math.inf), np.full(3, math.inf)
+    vals, points, evals = det._compass_search(
+        lambda q, rows: np.zeros(len(q)), p0, 10**6, *none, lambda q: q, shrink=shrink
+    )
+    assert evals.tolist() == [1 + sweeps * 2 * 3] * 5
+    assert np.array_equal(points, p0) and not vals.any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["l1", "l3", "linf", "wl1", "gram4"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-20, 20),
+)
+def test_lorch_score_does_not_change_when_x_doubles(name, seed, exponent):
+    # Scaling x by 2 scales ||x||, the rescaled y and both sides of the
+    # slack by exactly 2, so the score per unit of ||x|| keeps every bit.
+    spec = SPECS[name]
+    d = spec.dim
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(6, 2 * d + 1)) * 2.0**exponent
+    q[:, -1] = rng.uniform(math.log(0.125), math.log(8.0), size=6)
+    doubled = q.copy()
+    doubled[:, :d] *= 2.0
+    score = det._score_points(spec, InequalityId.LORCH, q)
+    assert np.isfinite(score).all()
+    assert np.array_equal(det._score_points(spec, InequalityId.LORCH, doubled), score)
